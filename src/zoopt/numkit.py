@@ -3,7 +3,11 @@
 Every stochastic piece of the toolkit draws from :class:`RngStream`, whose raw
 64-bit sequence is a pure function of (seed, counter).  That makes traces
 reproducible run-to-run and lets callers generate draws in vectorized blocks
-without perturbing the sequence.
+without perturbing the sequence: ``sample_unit_sphere(d, rng, n)`` returns the
+same (n, d) rows, bit for bit, as n single draws, and leaves the stream where
+they would.  Callers that build many rows (directions, or the points that
+evaluate them) walk ``block_spans``, so that no step holds more than about
+``BLOCK_WORDS`` words of temporaries.
 """
 
 import math
@@ -16,6 +20,8 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_B = np.uint64(0x94D049BB133111EB)
 _TWO53 = float(1 << 53)
+
+BLOCK_WORDS = 1 << 13  # words per block_spans step: raw draws or point coordinates
 
 
 def _mix64(z):
@@ -48,9 +54,18 @@ class RngStream:
         self._counter += n
         return _mix64(self._key + idx * _GOLDEN)
 
+    def rewind(self, n):
+        """Hand back the last ``n`` raw words: the next draws reuse them."""
+        if not 0 <= n <= self._counter:
+            raise ValueError(f"cannot rewind {n} of {self._counter} words")
+        self._counter -= n
+
     def uniform(self, n=None):
-        """Doubles uniform on [0, 1), one per raw word (top 53 bits)."""
-        u = (self.raw(n or 1) >> np.uint64(11)).astype(np.float64) / _TWO53
+        """Doubles uniform on [0, 1), one per raw word (top 53 bits).
+
+        ``n=None`` gives one float; ``n=0`` an empty array and no words used.
+        """
+        u = _unit_interval(self.raw(1 if n is None else n))
         return u if n is not None else float(u[0])
 
     def normal(self, n):
@@ -59,10 +74,7 @@ class RngStream:
         Each Gaussian consumes exactly two raw words, so block and sequential
         generation agree bitwise.
         """
-        w = self.raw(2 * n)
-        u1 = ((w[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) / _TWO53  # (0, 1]
-        u2 = (w[1::2] >> np.uint64(11)).astype(np.float64) / _TWO53
-        return np.sqrt(-2.0 * np.log(u1)) * np.cos((2.0 * np.pi) * u2)
+        return _box_muller(self.raw(2 * n))
 
     def integers(self, n, low, high):
         """``n`` integers uniform on [low, high)."""
@@ -82,6 +94,28 @@ class RngStream:
         return idx[:k].copy()
 
 
+def _unit_interval(w):
+    """Doubles on [0, 1) from the top 53 bits of each raw word."""
+    return (w >> np.uint64(11)).astype(np.float64) / _TWO53
+
+
+def _box_muller(w):
+    """One Gaussian per pair of consecutive raw words along the last axis."""
+    top = (w >> np.uint64(11)).astype(np.float64)  # exact: 53-bit integers
+    u1 = (top[..., 0::2] + 1.0) / _TWO53  # (0, 1]
+    u2 = top[..., 1::2] / _TWO53
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos((2.0 * np.pi) * u2)
+
+
+def block_spans(n, words_per_row):
+    """``(lo, hi)`` row ranges that cover ``range(n)`` in order, each at most
+    ``BLOCK_WORDS`` words (raw draws or point coordinates) and at least one
+    row."""
+    step = max(1, BLOCK_WORDS // words_per_row)
+    for lo in range(0, n, step):
+        yield lo, min(n, lo + step)
+
+
 def as_vector(x, d=None):
     """Coerce to a 1-D float64 array, optionally checking the dimension."""
     v = np.asarray(x, dtype=np.float64)
@@ -94,30 +128,82 @@ def as_vector(x, d=None):
 
 def check_finite(v, context=""):
     """Raise NumericError if any entry of ``v`` is NaN or infinite."""
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise NumericError(f"non-finite value in {context or 'vector'}", x=np.asarray(v))
     return v
 
 
-def sample_unit_sphere(d, rng):
-    """Uniform draw from the unit sphere in R^d (normalized Gaussian vector)."""
+def weighted_row_sum(coeff, u):
+    """sum_i coeff_i * u_i, added in row order starting from +0.0, as a
+    ``g += coeff_i * u_i`` loop adds it.  ``np.add.accumulate`` fixes that
+    order by definition; a reduction such as ``np.sum`` promises no order and
+    starts from the first term, which can flip the sign of a zero."""
+    terms = np.zeros((u.shape[0] + 1, u.shape[1]))
+    np.multiply(coeff[:, None], u, out=terms[1:])
+    return np.add.accumulate(terms, axis=0)[-1]
+
+
+def _check_dim(d):
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    g = rng.normal(d)
-    nrm = math.sqrt(float(np.dot(g, g)))
-    while nrm == 0.0:  # the counter stream could in principle emit all zeros
+
+
+def sample_unit_sphere(d, rng, n=None):
+    """Uniform draws from the unit sphere in R^d (normalized Gaussian vectors).
+
+    ``n=None`` gives one (d,) vector.  With ``n`` the result is an (n, d)
+    array whose rows equal n successive single draws bit for bit: the rows use
+    the same counters, and each row norm is that row's own dot product
+    (``np.vecdot`` calls the same BLAS dot as ``np.dot``; ``einsum`` sums in
+    another order and is 1 ulp off).  The whole block is drawn at once;
+    callers that need many rows draw them in ``block_spans``.
+    """
+    _check_dim(d)
+    if n is None:
         g = rng.normal(d)
         nrm = math.sqrt(float(np.dot(g, g)))
-    return g / nrm
+        while nrm == 0.0:  # the counter stream could in principle emit all zeros
+            g = rng.normal(d)
+            nrm = math.sqrt(float(np.dot(g, g)))
+        return g / nrm
+    g = rng.normal(n * d).reshape(n, d)
+    nrm = np.sqrt(np.vecdot(g, g))
+    if nrm.all():
+        return g / nrm[:, None]
+    # an all-zero row is redrawn by a single draw from the next counters, so
+    # hand back the words drawn after it and carry on from there
+    k = int(np.argmin(nrm))
+    rng.rewind(2 * d * (n - k - 1))
+    return np.concatenate([g[:k] / nrm[:k, None], sample_unit_sphere(d, rng, n - k)])
 
 
-def sample_unit_ball(d, rng):
-    """Uniform draw from the closed unit ball: sphere direction scaled by r^(1/d)."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    u = sample_unit_sphere(d, rng)
-    r = rng.uniform()
-    return u * (r ** (1.0 / d))
+def sample_unit_ball(d, rng, n=None):
+    """Uniform draws from the closed unit ball: a sphere direction scaled by
+    r^(1/d), r uniform on [0, 1).
+
+    ``n=None`` gives one (d,) vector; with ``n`` an (n, d) array equal bit for
+    bit to n single draws (each draw uses 2d words for the direction, then one
+    for r).
+    """
+    _check_dim(d)
+    if n is None:
+        u = sample_unit_sphere(d, rng)
+        return u * (rng.uniform() ** (1.0 / d))
+    w = rng.raw(n * (2 * d + 1)).reshape(n, 2 * d + 1)
+    g = _box_muller(w[:, :-1])
+    nrm = np.sqrt(np.vecdot(g, g))
+    k = n if nrm.all() else int(np.argmin(nrm))
+    # Python's float power, as a single draw uses: numpy's array power differs
+    # from it in the last bit
+    radius = np.array([r ** (1.0 / d) for r in _unit_interval(w[:k, -1]).tolist()])
+    head = (g[:k] / nrm[:k, None]) * radius[:, None]
+    if k == n:
+        return head
+    # row k's direction is redrawn right after its all-zero words, then its
+    # radius and the remaining rows follow
+    rng.rewind((2 * d + 1) * (n - k) - 2 * d)
+    return np.concatenate([head, sample_unit_ball(d, rng)[None],
+                           sample_unit_ball(d, rng, n - k - 1)])
 
 
 def elementwise_max(a, b):

@@ -24,7 +24,8 @@ from .estimators import (EstimatorConfig, averaged_with_indices, clamp_mu,
                          query_cost)
 from .geometry import DiagonalMetric, Unconstrained, mahalanobis_measure
 from .metrics import RunResult, Trace, TraceRecord
-from .numkit import RngStream, check_finite
+from .numkit import (RngStream, block_spans, check_finite, sample_unit_sphere,
+                     weighted_row_sum)
 
 log = logging.getLogger("zoopt")
 
@@ -167,8 +168,8 @@ def validate_config(cfg, problem, query_budget, max_iters=None):
         raise ConfigError(f"optimizer.algorithm: unknown algorithm {cfg.algorithm!r}")
     if not 0.0 <= cfg.beta1 <= 1.0 or not 0.0 <= cfg.beta2 <= 1.0:
         raise ConfigError("optimizer.beta1/beta2 must lie in [0, 1]")
-    if cfg.alpha <= 0:
-        raise ConfigError("optimizer.alpha must be positive")
+    if not (math.isfinite(cfg.alpha) and cfg.alpha > 0):
+        raise ConfigError("optimizer.alpha must be positive and finite")
     cfg.estimator.validate()
 
     if cfg.algorithm == "zo-adamm" and not cfg.euclidean_projection_override:
@@ -228,20 +229,24 @@ def _approx_full_gradient(problem, x, t, cfg, q=200, mu=1e-3):
     """Metric-side gradient estimate (uncounted queries) for problems without a
     recorded analytic gradient: full-batch two-point average with q directions
     on an rng stream derived from (seed, t) so the run's stream is untouched."""
-    from .numkit import sample_unit_sphere
     obj = problem.objective
     rng = RngStream(cfg.seed * 1_000_003 + 7_919 * t + 1)
     n = obj.n_samples or 1
     d = obj.dim
-    base = [obj.peek(x, j) for j in range(n)]
-    g = np.zeros(d)
-    for _ in range(q):
-        u = sample_unit_sphere(d, rng)
-        coeff = 0.0
+    u = sample_unit_sphere(d, rng, q)
+    samples = np.arange(n)
+    base = obj.peek_batch(np.broadcast_to(x, (n, d)), samples)
+    coeff = np.empty(q)
+    # every sample along each direction, a block_spans step of directions at
+    # a time
+    for lo, hi in block_spans(q, n * d):
+        pts = np.repeat(x + mu * u[lo:hi], n, axis=0)
+        diffs = obj.peek_batch(pts, np.tile(samples, hi - lo)).reshape(hi - lo, n)
+        c = np.zeros(hi - lo)
         for j in range(n):
-            coeff += obj.peek(x + mu * u, j) - base[j]
-        g += coeff * u
-    return g * (d / mu) / (n * q)
+            c += diffs[:, j] - base[j]
+        coeff[lo:hi] = c
+    return weighted_row_sum(coeff, u) * (d / mu) / (n * q)
 
 
 def _reference_gradient(problem, x, t, cfg, mode):
@@ -339,9 +344,11 @@ def run_optimizer(problem, cfg, query_budget, max_iters=None, stride=None,
 
             if track_regret:
                 if indices:
-                    ft_x = float(np.mean([obj.peek(x, j) for j in indices]))
-                    ft_c = float(np.mean([obj.peek(problem.comparator, j)
-                                          for j in indices]))
+                    rows = (len(indices), d)
+                    ft_x = float(np.mean(obj.peek_batch(np.broadcast_to(x, rows),
+                                                        indices)))
+                    ft_c = float(np.mean(obj.peek_batch(
+                        np.broadcast_to(problem.comparator, rows), indices)))
                 else:
                     ft_x = obj.full_loss(x)
                     ft_c = obj.full_loss(problem.comparator)

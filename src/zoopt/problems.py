@@ -20,6 +20,15 @@ from .oracle import ProblemMetadata, StochasticObjective
 TANH_MARGIN = 1e-6  # clearance kept from the box boundary before arctanh
 
 
+def _objective(dim, fn_batch, **kw):
+    """StochasticObjective whose single-point ``fn`` is the one-row case of
+    ``fn_batch``, so the two agree bit for bit by construction."""
+    def fn(x, xi):
+        return float(fn_batch(x[None], xi)[0])
+
+    return StochasticObjective(dim, fn, fn_batch=fn_batch, **kw)
+
+
 @dataclass
 class ProblemSpec:
     """A problem instance: objective + feasible set + known facts + start point.
@@ -47,10 +56,10 @@ def make_counterexample_lp():
     """
     grad = np.array([-2.0, -1.0])
 
-    def fn(x, xi):
-        return -2.0 * x[0] - x[1]
+    def fn_batch(X, xi):
+        return -2.0 * X[:, 0] - X[:, 1]
 
-    obj = StochasticObjective(2, fn, name="counterexample-lp")
+    obj = _objective(2, fn_batch, name="counterexample-lp")
     meta = ProblemMetadata(
         lip_const=math.sqrt(5.0),
         grad_lip=0.0,
@@ -78,11 +87,11 @@ def make_quadratic(d, condition=1.0, seed=0, n_samples=None, noise=1.0):
     x_star = rng.uniform(d) * 2.0 - 1.0
 
     if n_samples is None:
-        def fn(x, xi):
-            r = x - x_star
-            return 0.5 * float(np.dot(a_diag * r, r))
+        def fn_batch(X, xi):
+            r = X - x_star
+            return 0.5 * np.vecdot(a_diag * r, r)
 
-        obj = StochasticObjective(d, fn, name="quadratic")
+        obj = _objective(d, fn_batch, name="quadratic")
         f_star = 0.0
 
         def sample_grad(x, xi):
@@ -91,11 +100,11 @@ def make_quadratic(d, condition=1.0, seed=0, n_samples=None, noise=1.0):
         shifts = noise * rng.normal(n_samples * d).reshape(n_samples, d)
         shifts -= shifts.mean(axis=0)  # exact mean-zero per coordinate
 
-        def fn(x, xi):
-            r = x - x_star - shifts[xi]
-            return 0.5 * float(np.dot(a_diag * r, r))
+        def fn_batch(X, xi):
+            r = X - x_star - shifts[xi]
+            return 0.5 * np.vecdot(a_diag * r, r)
 
-        obj = StochasticObjective(d, fn, n_samples=n_samples, name="quadratic-sum")
+        obj = _objective(d, fn_batch, n_samples=n_samples, name="quadratic-sum")
         f_star = 0.5 * float(np.mean([np.dot(a_diag * s, s) for s in shifts]))
 
         def sample_grad(x, xi):
@@ -125,11 +134,11 @@ def make_logistic(n, d, seed=0, radius=5.0):
     planted *= (0.5 * radius) / math.sqrt(float(np.dot(planted, planted)))
     labels = np.where(feats @ planted >= 0, 1.0, -1.0)
 
-    def fn(x, xi):
-        z = labels[xi] * float(np.dot(feats[xi], x))
-        return float(np.logaddexp(0.0, -z))
+    def fn_batch(X, xi):
+        z = labels[xi] * np.vecdot(feats[xi], X)
+        return np.logaddexp(0.0, -z)
 
-    obj = StochasticObjective(d, fn, n_samples=n, name="logistic")
+    obj = _objective(d, fn_batch, n_samples=n, name="logistic")
 
     def sigma_neg(z):
         # sigmoid(-z) without overflow on either tail
@@ -166,11 +175,11 @@ def make_nonconvex(d, seed=0, eps=0.1, omega=3.0, box_halfwidth=None):
     rng = RngStream(seed)
     x_star = rng.uniform(d) * 2.0 - 1.0
 
-    def fn(x, xi):
-        r = x - x_star
-        return 0.5 * float(np.dot(r, r)) + eps * float(np.sum(np.sin(omega * x)))
+    def fn_batch(X, xi):
+        r = X - x_star
+        return 0.5 * np.vecdot(r, r) + eps * np.sum(np.sin(omega * X), axis=1)
 
-    obj = StochasticObjective(d, fn, name="nonconvex")
+    obj = _objective(d, fn_batch, name="nonconvex")
     meta = ProblemMetadata(
         grad_lip=1.0 + eps * omega * omega,
         gradient=lambda x: (x - x_star) + eps * omega * np.cos(omega * x),
@@ -210,6 +219,16 @@ class TinyMlp:
         x = as_vector(x, self.input_dim)
         return self.w2 @ np.tanh(self.w1 @ x + self.b1) + self.b2
 
+    def forward_batch(self, X):
+        """``forward`` of every row of X, bit for bit.
+
+        The layers are stacked matrix-vector products, the same BLAS call per
+        row as ``forward``; ``X @ w1.T`` is one blocked matrix product that
+        sums in another order and differs in the last bits.
+        """
+        hidden = np.tanh(np.matmul(self.w1, X[:, :, None])[:, :, 0] + self.b1)
+        return np.matmul(self.w2, hidden[:, :, None])[:, :, 0] + self.b2
+
     def to_json_dict(self):
         layers = []
         for arr in (self.w1, self.b1, self.w2, self.b2):
@@ -239,8 +258,24 @@ def cw_loss(logits, t, kappa=0.0):
         raise ValueError(f"class index {t} out of range")
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
-    others = np.delete(logits, t)
-    return max(float(logits[t] - others.max()), -float(kappa))
+    return float(_gaps(logits[None], t, -float(kappa))[0])
+
+
+def _gaps(logits, t, floor=-math.inf):
+    """max{ Z_t - max_{j != t} Z_j, floor } for every row of logits; ``t`` is
+    one class or one per row.  The max over j != t is exact, so masking Z_t
+    out gives the same bits as slicing it out; the floor keeps Python
+    ``max``'s choice on ties and NaN."""
+    rows = np.arange(logits.shape[0])
+    others = logits.copy()
+    others[rows, t] = -np.inf
+    gap = logits[rows, t] - others.max(axis=1)
+    return np.where(floor > gap, floor, gap)
+
+
+def _box_arctanh(x):
+    """arctanh(2x) after clipping x TANH_MARGIN inside the [-0.5, 0.5] box."""
+    return np.arctanh(2.0 * np.clip(x, -0.5 + TANH_MARGIN, 0.5 - TANH_MARGIN))
 
 
 def tanh_reparam(w, x):
@@ -254,13 +289,7 @@ def tanh_reparam(w, x):
     w = as_vector(w, x.shape[0])
     if np.any(np.abs(x) > 0.5):
         raise ValueError("input outside the [-0.5, 0.5] box")
-    xs = np.clip(x, -0.5 + TANH_MARGIN, 0.5 - TANH_MARGIN)
-    return 0.5 * np.tanh(np.arctanh(2.0 * xs) + w)
-
-
-def _gap(logits, t):
-    others = np.delete(logits, t)
-    return float(logits[t] - others.max())
+    return 0.5 * np.tanh(_box_arctanh(x) + w)
 
 
 def make_attack_problem(model, images, labels, lam=10.0, kappa=0.0,
@@ -287,50 +316,58 @@ def make_attack_problem(model, images, labels, lam=10.0, kappa=0.0,
     for im in images:
         if np.any(np.abs(im) > 0.5):
             raise ValueError("image outside the [-0.5, 0.5] box")
+    if model.n_classes < 2:
+        raise ValueError("need at least two classes")
+    if not all(0 <= t < model.n_classes for t in labels):
+        raise ValueError("class index out of range")
+    if kappa < 0:
+        raise ValueError("kappa must be nonnegative")
     m = len(images)
     d = model.input_dim
+    image_rows = np.array(images)
+    label_rows = np.array(labels)
 
     if mode == "constrained":
         lo = np.max([-0.5 - im for im in images], axis=0)
         hi = np.min([0.5 - im for im in images], axis=0)
         cset = Box(lo, hi)
 
-        def fn(delta, xi):
-            logits = model.forward(images[xi] + delta)
-            return lam * cw_loss(logits, labels[xi], kappa) + float(np.dot(delta, delta))
+        def fn_batch(deltas, xi):
+            logits = model.forward_batch(image_rows[xi] + deltas)
+            return (lam * _gaps(logits, label_rows[xi], -float(kappa))
+                    + np.vecdot(deltas, deltas))
 
-        def adversarial(delta, i):
-            return images[i] + delta
+        def adversarial_rows(delta):
+            return image_rows + delta
 
         def distortion(delta):
             return float(np.dot(delta, delta))
     else:
         cset = Unconstrained()
+        # tanh_reparam's inner term depends on the image only
+        image_arctanh = _box_arctanh(image_rows)
 
-        def fn(w, xi):
-            xp = tanh_reparam(w, images[xi])
-            diff = xp - images[xi]
-            return lam * (cw_loss(model.forward(xp), labels[xi], kappa)
-                          + float(np.dot(diff, diff)))
+        def fn_batch(ws, xi):
+            xp = 0.5 * np.tanh(image_arctanh[xi] + ws)
+            diff = xp - image_rows[xi]
+            return lam * (_gaps(model.forward_batch(xp), label_rows[xi], -float(kappa))
+                          + np.vecdot(diff, diff))
 
-        def adversarial(w, i):
-            return tanh_reparam(w, images[i])
+        def adversarial_rows(w):
+            return 0.5 * np.tanh(image_arctanh + w)
 
         def distortion(w):
-            tot = 0.0
-            for i in range(m):
-                diff = adversarial(w, i) - images[i]
-                tot += float(np.dot(diff, diff))
+            diff = adversarial_rows(w) - image_rows
+            tot = 0.0  # summed in image order: np.sum would pair the terms
+            for sq in np.vecdot(diff, diff).tolist():
+                tot += sq
             return tot / m
 
     def success_count(v):
-        wins = 0
-        for i in range(m):
-            if _gap(model.forward(adversarial(v, i)), labels[i]) <= 0.0:
-                wins += 1
-        return wins
+        gaps = _gaps(model.forward_batch(adversarial_rows(v)), label_rows)
+        return int(np.count_nonzero(gaps <= 0.0))
 
-    obj = StochasticObjective(d, fn, n_samples=m, name=f"attack-{mode}")
+    obj = _objective(d, fn_batch, n_samples=m, name=f"attack-{mode}")
     meta = ProblemMetadata(extra={"lam": lam, "kappa": kappa, "mode": mode})
     tag = "attack-universal" if m > 1 else "attack-per-image"
     return ProblemSpec(obj, cset, meta, np.zeros(d), tag=tag,
@@ -368,7 +405,7 @@ def generate_victim(seed=VICTIM_SEED):
         cand = rng.uniform(VICTIM_INPUT_DIM) * 0.9 - 0.45
         logits = model.forward(cand)
         pred = int(np.argmax(logits))
-        if lo_gap <= _gap(logits, pred) <= hi_gap:
+        if lo_gap <= _gaps(logits[None], pred)[0] <= hi_gap:
             by_class[pred].append(cand)
             if len(by_class[pred]) == VICTIM_N_INPUTS:
                 inputs = by_class[pred]

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import two_point_uniform
-from .numkit import RngStream, as_vector, sample_unit_ball
+from .estimators import two_point_estimates
+from .numkit import RngStream, as_vector, block_spans, sample_unit_ball
 
 
 @dataclass
@@ -32,15 +32,17 @@ def smooth_value_mc(obj, x, xi, probe):
     """Monte-Carlo estimate of f_mu(x) over ball perturbations.
 
     Returns (mean, stderr); stderr is exactly 0 for constant objectives.
+    Perturbations are drawn and evaluated one block at a time; n queries.
     """
     probe.validate()
     x = as_vector(x, obj.dim)
+    d = obj.dim
     rng = RngStream(probe.seed)
     n = probe.n_samples
     vals = np.empty(n)
-    for k in range(n):
-        u = sample_unit_ball(obj.dim, rng)
-        vals[k] = obj.evaluate(x + probe.mu * u, xi)
+    for lo, hi in block_spans(n, 2 * d + 1):
+        u = sample_unit_ball(d, rng, hi - lo)
+        vals[lo:hi] = obj.evaluate_batch(x + probe.mu * u, xi)
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     return mean, se
@@ -53,12 +55,8 @@ def smooth_grad_mc(obj, x, xi, probe):
     Returns (mean vector, per-coordinate standard error).
     """
     probe.validate()
-    x = as_vector(x, obj.dim)
-    rng = RngStream(probe.seed)
     n = probe.n_samples
-    ests = np.empty((n, obj.dim))
-    for k in range(n):
-        ests[k] = two_point_uniform(obj, x, xi, probe.mu, rng)
+    ests = two_point_estimates(obj, x, xi, probe.mu, n, RngStream(probe.seed))
     mean = ests.mean(axis=0)
     se = ests.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(obj.dim)
     return mean, se

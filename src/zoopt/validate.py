@@ -15,11 +15,11 @@ import numpy as np
 
 from .estimators import (MU_FLOOR, averaged_estimator, clamp_mu,
                          coordinate_estimate, nes_antithetic_estimate,
-                         two_point_uniform)
+                         two_point_estimates, two_point_uniform)
 from .geometry import (Box, DiagonalMetric, L2Ball, SymmetricBand, Unconstrained,
                        gradient_mapping, project_euclidean, project_mahalanobis,
                        vi_violation)
-from .numkit import RngStream, sample_unit_sphere
+from .numkit import RngStream, block_spans, sample_unit_sphere
 from .optimizers import (AdaMMState, adamm_direction, default_config,
                          run_optimizer, zo_adamm_step)
 from .problems import make_counterexample_lp, make_quadratic
@@ -53,8 +53,8 @@ def sphere_concentration(seed=0, d=100, n_draws=100_000, xis=(4.0, 8.0, 16.0)):
     """Tail frequency of sphere coordinates against exp((1 - xi + log xi)/2)."""
     rng = RngStream(seed)
     draws = np.empty((n_draws, d))
-    for k in range(n_draws):
-        draws[k] = sample_unit_sphere(d, rng)
+    for lo, hi in block_spans(n_draws, 2 * d):
+        draws[lo:hi] = sample_unit_sphere(d, rng, hi - lo)
     out = []
     for xi in xis:
         thresh = math.sqrt(xi / d)
@@ -74,9 +74,7 @@ def unbiasedness_check(seed=0, d=10, n_estimates=200_000, mu=0.01):
     x = rng.uniform(d) * 2.0 - 1.0
     # f = 0.5 sum a (x - x*)^2 in the a/b form of the smoothed closed form
     _, grad_mu = analytic_smooth_quadratic(a_diag, -a_diag * x_star, x, mu)
-    ests = np.empty((n_estimates, d))
-    for k in range(n_estimates):
-        ests[k] = two_point_uniform(prob.objective, x, 0, mu, rng)
+    ests = two_point_estimates(prob.objective, x, 0, mu, n_estimates, rng)
     mean = ests.mean(axis=0)
     se = ests.std(axis=0, ddof=1) / math.sqrt(n_estimates)
     dev_in_se = float(np.max(np.abs(mean - grad_mu) / se))

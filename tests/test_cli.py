@@ -180,3 +180,12 @@ def test_sweep_parallel_workers_deterministic(tmp_path, monkeypatch):
     assert main(["sweep", str(cfg)]) == 0
     serial = {p.name: p.read_bytes() for p in sorted((tmp_path / "par").iterdir())}
     assert parallel == serial
+
+
+@pytest.mark.parametrize("line", ["optimizer.alpha = nan", "optimizer.alpha = inf",
+                                  "optimizer.mu = nan\noptimizer.mu_schedule = constant",
+                                  "optimizer.q = 0"])
+def test_non_finite_or_invalid_settings_exit_2(tmp_path, capsys, line):
+    cfg = write_cfg(tmp_path, QUAD_CFG + line + "\n")
+    assert main(["run", str(cfg)]) == 2
+    assert "configuration error" in capsys.readouterr().err

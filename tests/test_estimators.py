@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from zoopt.estimators import (MU_FLOOR, averaged_estimator, clamp_mu,
+from zoopt.errors import NumericError
+from zoopt.estimators import (MU_FLOOR, averaged_estimator,
+                              averaged_with_indices, clamp_mu,
                               coordinate_estimate, nes_antithetic_estimate,
-                              two_point_uniform)
-from zoopt.numkit import RngStream
+                              two_point_estimates, two_point_uniform)
+from zoopt import numkit
+from zoopt.numkit import RngStream, sample_unit_sphere
 from zoopt.oracle import StochasticObjective
 from zoopt.problems import make_quadratic
 
@@ -191,3 +194,135 @@ def test_gaussian_direction_ablation():
                                     directions="gaussian")
     se = ests.std(axis=0, ddof=1) / math.sqrt(n)
     assert np.all(np.abs(ests.mean(axis=0) - [-2.0, -1.0]) <= 4 * se)
+
+
+# the estimators as first written, one direction and one query at a time: the
+# reference for the block-drawn, batch-evaluated versions
+
+
+def _averaged_one_at_a_time(obj, x, mu, indices, q, rng):
+    base = [obj.evaluate(x, j) for j in indices]
+    g = np.zeros(obj.dim)
+    scale = (obj.dim / mu) / (len(indices) * q)
+    for _ in range(q):
+        u = sample_unit_sphere(obj.dim, rng)
+        coeff = 0.0
+        for k, j in enumerate(indices):
+            coeff += obj.evaluate(x + mu * u, j) - base[k]
+        g += (scale * coeff) * u
+    return g
+
+
+def _two_point_one_at_a_time(obj, x, xi, mu, rng):
+    u = sample_unit_sphere(obj.dim, rng)
+    base = obj.evaluate(x, xi)
+    fwd = obj.evaluate(x + mu * u, xi)
+    return ((obj.dim / mu) * (fwd - base)) * u
+
+
+def _nes_one_at_a_time(obj, x, xi, mu, q, rng):
+    g = np.zeros(obj.dim)
+    for _ in range(q):
+        u = rng.normal(obj.dim)
+        g += (obj.evaluate(x + mu * u, xi) - obj.evaluate(x - mu * u, xi)) * u
+    g /= 2.0 * q * mu
+    return g
+
+
+def _coordinate_one_at_a_time(obj, x, xi, mu, coords):
+    g = np.zeros(obj.dim)
+    for i in coords:
+        step = np.zeros(obj.dim)
+        step[i] = mu
+        g[i] = (obj.evaluate(x + step, xi) - obj.evaluate(x - step, xi)) / (2.0 * mu)
+    return g
+
+
+def _fails_at_call(k, n_samples):
+    """Finite-sum objective that turns infinite at its k-th call."""
+    calls = [0]
+
+    def fn(x, xi):
+        calls[0] += 1
+        return math.inf if calls[0] == k else float(np.dot(x, x)) + xi
+
+    return StochasticObjective(4, fn, n_samples=n_samples)
+
+
+CALLS = {
+    "averaged": (lambda obj, rng: averaged_with_indices(obj, X4, 0.05, [2, 0], 3, rng),
+                 lambda obj, rng: _averaged_one_at_a_time(obj, X4, 0.05, [2, 0], 3, rng),
+                 8),
+    "nes": (lambda obj, rng: nes_antithetic_estimate(obj, X4, 1, 0.05, 3, rng),
+            lambda obj, rng: _nes_one_at_a_time(obj, X4, 1, 0.05, 3, rng), 6),
+    "two-point": (lambda obj, rng: two_point_uniform(obj, X4, 1, 0.05, rng),
+                  lambda obj, rng: _two_point_one_at_a_time(obj, X4, 1, 0.05, rng),
+                  2),
+    "two-point-x3": (lambda obj, rng: two_point_estimates(obj, X4, 1, 0.05, 3, rng),
+                     lambda obj, rng: np.array([_two_point_one_at_a_time(
+                         obj, X4, 1, 0.05, rng) for _ in range(3)]),
+                     6),
+    "coordinate": (lambda obj, rng: coordinate_estimate(obj, X4, 1, 0.05, [3, 0, 2]),
+                   lambda obj, rng: _coordinate_one_at_a_time(obj, X4, 1, 0.05, [3, 0, 2]),
+                   6),
+}
+X4 = np.array([0.3, -0.1, 0.8, 0.05])
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_estimators_match_one_query_at_a_time(name):
+    batched, reference, cost = CALLS[name]
+    obj_a, obj_b = _fails_at_call(0, 3), _fails_at_call(0, 3)
+    rng_a, rng_b = RngStream(31), RngStream(31)
+    got, want = batched(obj_a, rng_a), reference(obj_b, rng_b)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert obj_a.queries == obj_b.queries == cost
+    assert rng_a._counter == rng_b._counter
+    # an abort at any query leaves the count, the error and the stream where
+    # the one-at-a-time loop leaves them
+    for k in range(1, cost + 1):
+        obj_a, obj_b = _fails_at_call(k, 3), _fails_at_call(k, 3)
+        rng_a, rng_b = RngStream(31), RngStream(31)
+        with pytest.raises(NumericError) as err_a:
+            batched(obj_a, rng_a)
+        with pytest.raises(NumericError) as err_b:
+            reference(obj_b, rng_b)
+        assert obj_a.queries == obj_b.queries == k - 1
+        assert str(err_a.value) == str(err_b.value)
+        assert rng_a._counter == rng_b._counter
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_estimators_match_one_query_at_a_time_in_one_direction_steps(name,
+                                                                     monkeypatch):
+    # 8 words: each block_spans step holds one direction of X4's averaged
+    # estimator (b*d = 8) and one two-point estimate (2*d = 8)
+    monkeypatch.setattr(numkit, "BLOCK_WORDS", 8)
+    assert len(list(numkit.block_spans(3, 8))) == 3
+    test_estimators_match_one_query_at_a_time(name)
+
+
+def test_two_point_estimates_report_the_first_non_finite_estimate():
+    # values near the double range: a difference of two finite values can
+    # overflow, which the estimate check must catch, reporting that estimate
+    def fn(x, xi):
+        return -1.7e308 if x[0] > 0.5 else 1.7e308
+
+    rng, block_rng = RngStream(32), RngStream(32)
+    x = np.array([0.5, 0.0, 0.0])
+    singles = []
+    block_obj = StochasticObjective(3, fn)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError) as single_err:
+            for _ in range(6):
+                singles.append(two_point_uniform(StochasticObjective(3, fn), x, 0,
+                                                 0.1, rng))
+        with pytest.raises(NumericError) as block_err:
+            two_point_estimates(block_obj, x, 0, 0.1, 6, block_rng)
+    assert singles  # an earlier estimate was finite
+    assert str(block_err.value) == str(single_err.value)
+    assert np.array_equal(block_err.value.x, single_err.value.x)
+    # the stream stops where the loop stops; the six estimates were one
+    # block_spans step, so all of its queries stay charged
+    assert block_rng._counter == rng._counter
+    assert block_obj.queries == 12

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from zoopt.numkit import (RngStream, elementwise_max, sample_unit_ball,
-                          sample_unit_sphere)
+from zoopt.numkit import (BLOCK_WORDS, RngStream, block_spans, elementwise_max,
+                          sample_unit_ball, sample_unit_sphere, weighted_row_sum)
 
 # first raw words of seed 42, frozen from a verified run: regression anchor for
 # the pinned generator algorithm
@@ -112,3 +114,166 @@ def test_elementwise_max_monotone():
         b = rng.normal(6)
         a_up = a + np.abs(rng.normal(6))
         assert np.all(elementwise_max(a, b) <= elementwise_max(a_up, b))
+
+
+def test_zero_length_draws_are_empty_and_free():
+    rng = RngStream(1)
+    u = rng.uniform(0)
+    assert u.shape == (0,) and u.dtype == np.float64
+    k = rng.integers(0, 3, 7)
+    assert k.shape == (0,) and k.dtype == np.int64
+    assert rng.normal(0).shape == (0,)
+    assert rng._counter == 0
+    assert sample_unit_sphere(4, rng, 0).shape == (0, 4)
+    assert sample_unit_ball(4, rng, 0).shape == (0, 4)
+    assert rng._counter == 0
+    # the next draw is the stream's first word, as if nothing had been asked
+    assert rng.uniform() == RngStream(1).uniform()
+
+
+# single-draw samplers exactly as the toolkit first wrote them: the reference
+# the block samplers must reproduce bit for bit
+
+
+def _sphere_one_at_a_time(d, rng):
+    g = rng.normal(d)
+    nrm = math.sqrt(float(np.dot(g, g)))
+    while nrm == 0.0:
+        g = rng.normal(d)
+        nrm = math.sqrt(float(np.dot(g, g)))
+    return g / nrm
+
+
+def _ball_one_at_a_time(d, rng):
+    u = _sphere_one_at_a_time(d, rng)
+    return u * (rng.uniform() ** (1.0 / d))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _assert_block_matches(make_rng, d, n):
+    seq_rng, blk_rng = make_rng(), make_rng()
+    sphere = [_sphere_one_at_a_time(d, seq_rng) for _ in range(n)]
+    assert np.array_equal(_bits(sample_unit_sphere(d, blk_rng, n)),
+                          _bits(np.reshape(sphere, (n, d))))
+    assert blk_rng._counter == seq_rng._counter
+    ball = [_ball_one_at_a_time(d, seq_rng) for _ in range(n)]
+    assert np.array_equal(_bits(sample_unit_ball(d, blk_rng, n)),
+                          _bits(np.reshape(ball, (n, d))))
+    assert blk_rng._counter == seq_rng._counter
+    gauss = np.concatenate([seq_rng.normal(d) for _ in range(n)] + [np.empty(0)])
+    assert np.array_equal(_bits(blk_rng.normal(n * d)), _bits(gauss))
+    assert blk_rng._counter == seq_rng._counter
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 16, 20, 101])
+def test_block_draws_match_single_draws_bitwise(d):
+    _assert_block_matches(lambda: RngStream(1000 + d), d, 7)
+    # more rows than one block_spans step holds
+    n = BLOCK_WORDS // (2 * d) + 3
+    _assert_block_matches(lambda: RngStream(2000 + d), d, n)
+
+
+def test_block_draws_match_single_draws_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(seed=st.integers(0, 2**64 - 1), d=st.integers(1, 40),
+                      n=st.integers(0, 25))
+    def check(seed, d, n):
+        _assert_block_matches(lambda: RngStream(seed), d, n)
+
+    check()
+
+
+@pytest.mark.parametrize("n,words", [(0, 5), (1, 5), (7, 1), (100, 300),
+                                     (BLOCK_WORDS, 2), (3, 2 * BLOCK_WORDS)])
+def test_block_spans_cover_rows_in_order_within_the_cap(n, words):
+    spans = list(block_spans(n, words))
+    assert [i for lo, hi in spans for i in range(lo, hi)] == list(range(n))
+    for lo, hi in spans:
+        assert hi > lo and ((hi - lo) * words <= BLOCK_WORDS or hi - lo == 1)
+
+
+def test_draws_in_block_spans_equal_one_block():
+    d, n = 6, BLOCK_WORDS // 12 * 3 + 5
+    whole = sample_unit_sphere(d, RngStream(3), n)
+    rng = RngStream(3)
+    steps = [sample_unit_sphere(d, rng, hi - lo) for lo, hi in block_spans(n, 2 * d)]
+    assert len(steps) == 4
+    assert np.array_equal(_bits(np.concatenate(steps)), _bits(whole))
+
+
+class ZeroWordStream(RngStream):
+    """Stream whose words at the given counters are all ones.  A Gaussian
+    drawn from such a pair of words is exactly 0, so covering a whole
+    direction's words makes an all-zero row."""
+
+    def __init__(self, seed, counters):
+        super().__init__(seed)
+        self.counters = set(counters)
+
+    def raw(self, n):
+        first = self._counter + 1
+        w = super().raw(n)
+        for c in self.counters:
+            if first <= c < first + n:
+                w[c - first] = np.uint64(0xFFFFFFFFFFFFFFFF)
+        return w
+
+
+@pytest.mark.parametrize("d,zero_rows", [
+    (3, [0]), (3, [2]), (3, [2, 3]), (3, [9]), (1, [0, 1, 2]), (5, [4, 6]),
+])
+def test_zero_norm_rows_redrawn_as_single_draws_would(d, zero_rows):
+    n = 10
+    # counters (1-based) of sphere rows, 2d words each, and of ball rows,
+    # 2d + 1 words each with the radius word last
+    cases = ((2 * d, sample_unit_sphere, _sphere_one_at_a_time),
+             (2 * d + 1, sample_unit_ball, _ball_one_at_a_time))
+    for row_words, block, single in cases:
+        words = [1 + row_words * r + j for r in zero_rows for j in range(2 * d)]
+        seq_rng, blk_rng = ZeroWordStream(5, words), ZeroWordStream(5, words)
+        want = np.array([single(d, seq_rng) for _ in range(n)])
+        got = block(d, blk_rng, n)
+        assert np.array_equal(_bits(got), _bits(want))
+        assert blk_rng._counter == seq_rng._counter
+        assert np.all(np.isfinite(got))
+        # the zero rows really were drawn and redrawn
+        assert seq_rng._counter > n * row_words
+
+
+def test_single_draw_redraws_a_zero_row():
+    rng = ZeroWordStream(6, range(1, 5))  # d = 2: the first direction is zero
+    u = sample_unit_sphere(2, rng)
+    assert rng._counter == 8
+    want = _sphere_one_at_a_time(2, ZeroWordStream(6, range(1, 5)))
+    assert np.array_equal(_bits(u), _bits(want))
+
+
+def test_weighted_row_sum_adds_in_row_order():
+    rng = RngStream(9)
+    cases = [(rng.normal(q) * 1e3, rng.normal(q * d).reshape(q, d))
+             for q, d in ((1, 3), (10, 20), (48, 7))]
+    # all-zero terms of negative sign: the loop's sum is +0.0, not -0.0
+    cases.append((np.zeros(3), -np.ones((3, 4))))
+    for coeff, u in cases:
+        q, d = u.shape
+        g = np.zeros(d)
+        for i in range(q):
+            g += coeff[i] * u[i]
+        assert np.array_equal(_bits(weighted_row_sum(coeff, u)), _bits(g))
+
+
+def test_rewind_replays_the_same_words():
+    rng = RngStream(10)
+    first = rng.raw(5)
+    rng.rewind(3)
+    assert np.array_equal(rng.raw(3), first[2:])
+    with pytest.raises(ValueError):
+        rng.rewind(6)
+    with pytest.raises(ValueError):
+        rng.rewind(-1)

@@ -5,12 +5,14 @@ import pytest
 
 from zoopt.errors import ConfigError
 from zoopt.geometry import Box, SymmetricBand, Unconstrained
-from zoopt.numkit import RngStream
-from zoopt.optimizers import (AdaMMState, adamm_direction, default_config,
-                              run_optimizer, smoothing_at, zo_adamm_step,
-                              zo_scd_step, zo_sgd_step, zo_signsgd_step,
-                              zo_smd_step)
-from zoopt.problems import (make_counterexample_lp, make_logistic,
+from zoopt import numkit
+from zoopt.numkit import RngStream, sample_unit_sphere
+from zoopt.optimizers import (AdaMMState, _approx_full_gradient,
+                              adamm_direction, default_config, run_optimizer,
+                              smoothing_at, zo_adamm_step, zo_scd_step,
+                              zo_sgd_step, zo_signsgd_step, zo_smd_step)
+from zoopt.problems import (load_victim, make_attack_problem,
+                            make_counterexample_lp, make_logistic,
                             make_quadratic)
 
 
@@ -282,3 +284,45 @@ def test_approx_measure_for_black_box_problems():
                for r in approx.trace.records)
     # approx gradients never touch the query counter
     assert approx.trace.total_queries == plain.trace.total_queries
+
+
+@pytest.mark.parametrize("overrides", [
+    {"alpha": math.nan}, {"alpha": math.inf}, {"alpha": -math.inf},
+    {"mu": math.nan, "mu_schedule": "constant"},
+    {"mu": math.inf, "mu_schedule": "constant"},
+    {"mu": math.nan},
+])
+def test_non_finite_step_or_smoothing_is_a_config_error(overrides):
+    prob = make_quadratic(5)
+    with pytest.raises(ConfigError):
+        run_optimizer(prob, default_config("zo-adamm", **overrides), 1000)
+    assert prob.objective.queries == 0
+
+
+def _approx_one_at_a_time(obj, x, rng, q, mu):
+    n, d = obj.n_samples, obj.dim
+    base = [obj.peek(x, j) for j in range(n)]
+    g = np.zeros(d)
+    for _ in range(q):
+        u = sample_unit_sphere(d, rng)
+        coeff = 0.0
+        for j in range(n):
+            coeff += obj.peek(x + mu * u, j) - base[j]
+        g += coeff * u
+    return g * (d / mu) / (n * q)
+
+
+@pytest.mark.parametrize("words", [None, 64])
+def test_approx_full_gradient_matches_one_query_at_a_time(words, monkeypatch):
+    if words is not None:
+        # one direction of all 3 images' points per block_spans step
+        monkeypatch.setattr(numkit, "BLOCK_WORDS", words)
+    model, inputs, labels = load_victim()
+    prob = make_attack_problem(model, inputs[:3], labels[:3])
+    cfg = default_config("zo-adamm", seed=4)
+    x = prob.constraint.project(RngStream(8).normal(16) * 0.05)
+    got = _approx_full_gradient(prob, x, 3, cfg, q=12, mu=1e-3)
+    want = _approx_one_at_a_time(prob.objective, x,
+                                 RngStream(4 * 1_000_003 + 7_919 * 3 + 1), 12, 1e-3)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert prob.objective.queries == 0

@@ -85,3 +85,78 @@ def test_full_loss_never_counts():
     # brute-force average oracle
     brute = sum(prob.objective.peek(x, i) for i in range(20)) / 20
     assert abs(prob.objective.full_loss(x) - brute) <= 1e-12
+
+
+def _sum_sq_obj(with_batch, n_samples=None):
+    def fn(x, xi):
+        return float(np.dot(x, x)) + xi
+
+    def fn_batch(X, xi):
+        return np.vecdot(X, X) + xi
+
+    return StochasticObjective(3, fn, n_samples=n_samples,
+                               fn_batch=fn_batch if with_batch else None)
+
+
+@pytest.mark.parametrize("with_batch", [True, False])
+def test_evaluate_batch_equals_rowwise_evaluate_and_charges_rows(with_batch):
+    obj = _sum_sq_obj(with_batch, n_samples=4)
+    X = RngStream(3).normal(15).reshape(5, 3)
+    vals = obj.evaluate_batch(X, 2)
+    assert obj.queries == 5
+    assert [float(v) for v in vals] == [obj.peek(x, 2) for x in X]
+    xi = np.array([0, 3, 1, 1, 2])
+    assert [float(v) for v in obj.evaluate_batch(X, xi)] == \
+        [obj.peek(x, j) for x, j in zip(X, xi)]
+    assert obj.queries == 10
+    assert np.array_equal(obj.peek_batch(X, xi), obj.evaluate_batch(X, xi))
+    assert obj.queries == 15  # peek_batch is uncounted
+    assert obj.evaluate_batch(np.empty((0, 3))).shape == (0,)
+    assert obj.queries == 15
+
+
+@pytest.mark.parametrize("with_batch", [True, False])
+def test_evaluate_batch_rejects_bad_points_and_indices(with_batch):
+    obj = _sum_sq_obj(with_batch, n_samples=4)
+    with pytest.raises(ValueError):
+        obj.evaluate_batch(np.zeros(3))
+    with pytest.raises(ValueError):
+        obj.evaluate_batch(np.zeros((2, 4)))
+    with pytest.raises(ValueError):
+        obj.evaluate_batch(np.zeros((2, 3)), 4)
+    with pytest.raises(ValueError):
+        obj.evaluate_batch(np.zeros((2, 3)), [0, 4])
+    with pytest.raises(ValueError):
+        obj.evaluate_batch(np.zeros((2, 3)), [-1, 0])
+    with pytest.raises(ValueError):
+        obj.evaluate_batch(np.zeros((2, 3)), [0, 1, 2])
+    assert obj.queries == 0
+    wrong = StochasticObjective(3, lambda x, xi: 0.0,
+                                fn_batch=lambda X, xi: np.zeros(len(X) + 1))
+    with pytest.raises(ValueError):
+        wrong.evaluate_batch(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("with_batch", [True, False])
+def test_evaluate_batch_non_finite_charges_rows_before_it(with_batch):
+    def fn(x, xi):
+        return math.inf if x[0] > 1.0 else float(x[0])
+
+    def fn_batch(X, xi):
+        return np.where(X[:, 0] > 1.0, math.inf, X[:, 0])
+
+    X = np.array([[0.0], [0.5], [2.0], [0.1], [3.0]])
+    obj = StochasticObjective(1, fn, fn_batch=fn_batch if with_batch else None)
+    with pytest.raises(NumericError) as batch_err:
+        obj.evaluate_batch(X)
+    assert obj.queries == 2
+    single = StochasticObjective(1, fn)
+    with pytest.raises(NumericError) as single_err:
+        for x in X:
+            single.evaluate(x)
+    assert single.queries == 2
+    assert str(batch_err.value) == str(single_err.value)
+    assert np.array_equal(batch_err.value.x, X[2])
+    with pytest.raises(NumericError):
+        obj.peek_batch(X)
+    assert obj.queries == 2

@@ -219,3 +219,139 @@ def test_attack_modes_and_errors():
         make_attack_problem(model, [np.full(16, 0.7)], [0])
     with pytest.raises(ValueError):
         make_attack_problem(model, [inputs[0]], [labels[0]], mode="bogus")
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _cw_one_row(z, t, kappa):
+    return max(float(z[t] - np.delete(z, t).max()), -float(kappa))
+
+
+def _attack_one_point(model, images, labels, mode, lam=10.0, kappa=0.0):
+    def fn(v, xi):
+        im = images[xi]
+        if mode == "constrained":
+            return (lam * _cw_one_row(model.forward(im + v), labels[xi], kappa)
+                    + float(np.dot(v, v)))
+        xs = np.clip(im, -0.5 + 1e-6, 0.5 - 1e-6)
+        xp = 0.5 * np.tanh(np.arctanh(2.0 * xs) + v)
+        diff = xp - im
+        return lam * (_cw_one_row(model.forward(xp), labels[xi], kappa)
+                      + float(np.dot(diff, diff)))
+    return fn
+
+
+def _batched_problems():
+    """name -> (problem, its objective as first written, one point at a time).
+
+    The problems define only a batch form; the one-point forms are the
+    reference the batch must reproduce bit for bit."""
+    model, inputs, labels = _victim()
+    out = {"counterexample": (make_counterexample_lp(),
+                              lambda x, xi: -2.0 * x[0] - x[1])}
+
+    quad = make_quadratic(20, condition=30.0, seed=2)
+    a, xs = quad.metadata.extra["a_diag"], quad.metadata.extra["x_star"]
+    out["quadratic"] = (quad, lambda x, xi: 0.5 * float(np.dot(a * (x - xs), x - xs)))
+
+    qsum = make_quadratic(7, seed=3, n_samples=9, noise=2.0)
+    rng = RngStream(3)
+    qs_star = rng.uniform(7) * 2.0 - 1.0
+    shifts = 2.0 * rng.normal(9 * 7).reshape(9, 7)
+    shifts -= shifts.mean(axis=0)
+    assert np.array_equal(qs_star, qsum.metadata.extra["x_star"])
+
+    def qsum_fn(x, xi):
+        r = x - qs_star - shifts[xi]
+        return 0.5 * float(np.dot(r, r))
+    out["quadratic-sum"] = (qsum, qsum_fn)
+
+    logi = make_logistic(30, 6, seed=4)
+    feats, ys = logi.metadata.extra["features"], logi.metadata.extra["labels"]
+    out["logistic"] = (logi, lambda x, xi: float(np.logaddexp(
+        0.0, -(ys[xi] * float(np.dot(feats[xi], x))))))
+
+    ncvx = make_nonconvex(11, seed=5, box_halfwidth=0.5)
+    nc_star = ncvx.metadata.extra["x_star"]
+    out["nonconvex"] = (ncvx, lambda x, xi: (
+        0.5 * float(np.dot(x - nc_star, x - nc_star))
+        + 0.1 * float(np.sum(np.sin(3.0 * x)))))
+
+    for m, kappa, prefix in ((1, 0.0, "attack"), (6, 0.2, "universal")):
+        ims, ts = ([inputs[3]], [labels[3]]) if m == 1 else (inputs[:6], labels[:6])
+        for mode in ("constrained", "unconstrained"):
+            out[f"{prefix}-{mode}"] = (
+                make_attack_problem(model, ims, ts, kappa=kappa, mode=mode),
+                _attack_one_point(model, ims, ts, mode, kappa=kappa))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_batched_problems()))
+def test_evaluate_batch_matches_evaluate_bitwise(name):
+    prob, reference = _batched_problems()[name]
+    obj = prob.objective
+    assert obj._fn_batch is not None
+    rng = RngStream(21)
+    n = 40
+    X = rng.normal(n * obj.dim).reshape(n, obj.dim) * 0.3
+    X[0] = 0.0
+    m = obj.n_samples or 1
+    per_row = rng.integers(n, 0, m)
+    for xi in (m - 1, per_row):
+        xis = [int(j) for j in np.broadcast_to(xi, (n,))]
+        want = [reference(x, j) for x, j in zip(X, xis)]
+        before = obj.queries
+        got = obj.evaluate_batch(X, xi)
+        assert obj.queries - before == n
+        assert np.array_equal(_bits(got), _bits(want))
+        singles = [obj.evaluate(x, j) for x, j in zip(X, xis)]
+        assert np.array_equal(_bits(singles), _bits(want))
+        assert obj.queries - before == 2 * n
+    assert obj.full_loss(X[1]) == float(np.mean([reference(X[1], j)
+                                                 for j in range(m)]))
+
+
+def test_forward_batch_and_attack_metrics_match_rowwise_forms():
+    model, inputs, labels = _victim()
+    X = RngStream(22).uniform(50 * 16).reshape(50, 16) - 0.5
+    want = np.array([model.forward(x) for x in X])
+    assert np.array_equal(_bits(model.forward_batch(X)), _bits(want))
+    for mode in ("constrained", "unconstrained"):
+        prob = make_attack_problem(model, inputs, labels, mode=mode)
+        rng = RngStream(23)
+        for _ in range(20):
+            v = rng.normal(16) * 0.4
+            if mode == "constrained":
+                v = prob.constraint.project(v)
+                adv = [im + v for im in inputs]
+                dist = float(np.dot(v, v))
+            else:
+                adv = [tanh_reparam(v, im) for im in inputs]
+                dist = 0.0
+                for a, im in zip(adv, inputs):
+                    dist += float(np.dot(a - im, a - im))
+                dist /= len(inputs)
+            fooled = sum(cw_loss(model.forward(a), t) <= 0.0
+                         for a, t in zip(adv, labels))
+            assert prob.success_count_fn(v) == fooled
+            assert prob.distortion_fn(v) == dist
+
+
+def test_cw_loss_equals_delete_formula():
+    rng = RngStream(24)
+    for _ in range(200):
+        z = rng.normal(5)
+        for t in range(5):
+            for kappa in (0.0, 0.25):
+                assert np.array_equal(_bits([cw_loss(z, t, kappa)]),
+                                      _bits([_cw_one_row(z, t, kappa)]))
+
+
+def test_attack_labels_and_kappa_checked_up_front():
+    model, inputs, labels = _victim()
+    with pytest.raises(ValueError):
+        make_attack_problem(model, [inputs[0]], [model.n_classes])
+    with pytest.raises(ValueError):
+        make_attack_problem(model, [inputs[0]], [labels[0]], kappa=-0.1)
