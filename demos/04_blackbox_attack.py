@@ -10,7 +10,7 @@ fools all images at once.
 
 import numpy as np
 
-from zoopt import load_victim, make_attack_problem, mlp_forward, run_optimizer
+from zoopt import load_victim, make_attack_problem, run_optimizer
 from zoopt.metrics import first_success
 from zoopt.optimizers import default_config
 
@@ -39,5 +39,5 @@ res = run_optimizer(problem, default_config("zo-adamm", alpha=0.02, seed=0,
 delta = res.final_x
 print(f"  images fooled: {problem.success_count_fn(delta)}/10, "
       f"||delta||^2 = {float(np.dot(delta, delta)):.4f}")
-pred = [int(np.argmax(mlp_forward(model, im + delta))) for im in inputs]
+pred = [int(np.argmax(model.forward(im + delta))) for im in inputs]
 print(f"  adversarial predictions: {pred}  (true label {labels[0]})")

@@ -11,6 +11,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,8 @@ import numpy as np
 from .errors import ConfigError, NumericError
 from .geometry import vi_violation
 from .metrics import first_success, serialize_csv, write_envelope
-from .optimizers import default_config, run_optimizer
+from .estimators import EstimatorConfig
+from .optimizers import METHODS, OptConfig, default_config, run_optimizer
 from .problems import (load_victim, make_attack_problem, make_counterexample_lp,
                        make_logistic, make_nonconvex, make_quadratic)
 from .validate import SUITES, run_suites
@@ -42,22 +44,11 @@ SCHEMA = {
     "problem.image": int,
     "problem.lambda": float,
     "problem.kappa": float,
-    "optimizer.algorithm": str,
-    "optimizer.beta1": float,
-    "optimizer.beta2": float,
-    "optimizer.alpha": float,
-    "optimizer.alpha_schedule": str,
-    "optimizer.mu": float,
-    "optimizer.mu_schedule": str,
-    "optimizer.v0": float,
-    "optimizer.vhat0": float,
-    "optimizer.use_vhat_max": bool,
-    "optimizer.b": int,
-    "optimizer.q": int,
-    "optimizer.kind": str,
-    "optimizer.directions": str,
-    "optimizer.beta1_decay": bool,
-    "optimizer.euclidean_projection_override": bool,
+    # optimizer.<field> for every field of OptConfig and EstimatorConfig but
+    # the nested estimator and the seed, which come from run.base_seed
+    **{f"optimizer.{f.name}": f.type
+       for cls in (OptConfig, EstimatorConfig) for f in fields(cls)
+       if f.name not in ("estimator", "seed")},
     "run.query_budget": int,
     "run.max_iters": int,         # 0 means unlimited (budget-bound)
     "run.repeat": int,
@@ -125,7 +116,16 @@ def _require(values, key):
 
 def build_problem(values):
     kind = _require(values, "problem.kind")
-    get = lambda k: values.get(k, DEFAULTS[k])
+    try:
+        return _make_problem(kind, lambda k: values.get(k, DEFAULTS[k]))
+    except ConfigError:
+        raise
+    except ValueError as err:
+        # the problem constructors reject out-of-range values with ValueError
+        raise ConfigError(f"problem.kind = {kind}: {err}") from err
+
+
+def _make_problem(kind, get):
     if kind == "quadratic":
         samples = get("problem.samples")
         return make_quadratic(get("problem.d"), get("problem.condition"),
@@ -157,23 +157,10 @@ def build_problem(values):
 
 
 def build_optimizer_config(values, seed):
-    algorithm = values.get("optimizer.algorithm", "zo-adamm")
-    overrides = {"seed": seed}
-    mapping = {
-        "optimizer.beta1": "beta1", "optimizer.beta2": "beta2",
-        "optimizer.alpha": "alpha", "optimizer.alpha_schedule": "alpha_schedule",
-        "optimizer.mu": "mu", "optimizer.mu_schedule": "mu_schedule",
-        "optimizer.v0": "v0", "optimizer.vhat0": "vhat0",
-        "optimizer.use_vhat_max": "use_vhat_max", "optimizer.b": "b",
-        "optimizer.q": "q", "optimizer.kind": "kind",
-        "optimizer.directions": "directions",
-        "optimizer.beta1_decay": "beta1_decay",
-        "optimizer.euclidean_projection_override": "euclidean_projection_override",
-    }
-    for key, attr in mapping.items():
-        if key in values:
-            overrides[attr] = values[key]
-    return default_config(algorithm, **overrides)
+    overrides = {key.split(".", 1)[1]: val for key, val in values.items()
+                 if key.startswith("optimizer.")}
+    return default_config(overrides.pop("algorithm", "zo-adamm"), seed=seed,
+                          **overrides)
 
 
 def worker_count(values):
@@ -184,6 +171,13 @@ def worker_count(values):
         except ValueError:
             raise ConfigError(f"ZOOPT_THREADS: cannot parse {env!r} as int")
     return max(1, values.get("run.workers", DEFAULTS["run.workers"]))
+
+
+def _repeat(values):
+    repeat = values.get("run.repeat", DEFAULTS["run.repeat"])
+    if repeat < 1:
+        raise ConfigError("run.repeat: must be >= 1")
+    return repeat
 
 
 def _execute_one(values, seed, outdir, tag):
@@ -207,12 +201,13 @@ def _execute_one(values, seed, outdir, tag):
 
 def cmd_run(config_path):
     values = parse_config_file(config_path)
+    repeat = _repeat(values)
     outdir = Path(_require(values, "run.outdir"))
     outdir.mkdir(parents=True, exist_ok=True)
     base = values.get("run.base_seed", 0)
     tag = values.get("run.tag", "run")
     exit_code = 0
-    for r in range(values.get("run.repeat", 1)):
+    for r in range(repeat):
         result = _execute_one(values, base + r, outdir, tag)
         status = "aborted" if result.trace.aborted else "ok"
         print(f"{tag} seed={base + r}: {status}, "
@@ -227,6 +222,7 @@ def cmd_run(config_path):
 
 def cmd_sweep(config_path):
     values = parse_config_file(config_path)
+    repeat = _repeat(values)
     outdir = Path(_require(values, "run.outdir"))
     outdir.mkdir(parents=True, exist_ok=True)
     base = values.get("run.base_seed", 0)
@@ -253,7 +249,7 @@ def cmd_sweep(config_path):
                     key, val, raw = p
                     combo[key] = val
                     label += f"_{key.split('.')[-1]}{raw}"
-            for r in range(values.get("run.repeat", 1)):
+            for r in range(repeat):
                 jobs.append((combo, base + r, label))
 
     results = [None] * len(jobs)
@@ -331,44 +327,32 @@ def cmd_validate(suite, seed=0):
     return 0
 
 
-# per-method step sizes for the desk-scale attack problems, chosen by a small
-# grid search for the best converged objective with a successful attack
-ATTACK_ALPHA = {
-    "zo-adamm": 0.025,
-    "zo-psgd": 0.05,
-    "zo-smd": 0.02,
-    "zo-nes": 0.02,
-    "zo-sgd": 0.05,
-    "zo-signsgd": 0.05,
-    "zo-scd": 0.3,
-}
-_CONSTRAINED_OPTS = ("zo-adamm", "zo-psgd", "zo-smd", "zo-nes")
-
-
 def _attack_formulation(opt, requested):
     if requested != "auto":
         return requested
-    return "constrained" if opt in _CONSTRAINED_OPTS else "unconstrained"
+    return "constrained" if METHODS[opt].projected else "unconstrained"
 
 
-def _attack_config(opt, seed, alpha=None):
-    return default_config(opt, alpha=alpha if alpha is not None
-                          else ATTACK_ALPHA[opt], seed=seed, b=1, q=10)
+def _attack_config(opt, seed):
+    return default_config(opt, alpha=METHODS[opt].attack_alpha, seed=seed,
+                          b=1, q=10)
 
 
 def run_attack_suite(mode, m, opts, budget, seed, outdir, formulation="auto",
                      repeat=1, workers=1, lam=10.0, kappa=0.0):
     """Run the pinned-victim attack protocol; returns the summary dict."""
     model, inputs, labels = load_victim()
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     if mode not in ("per-image", "universal"):
         raise ConfigError(f"attack mode must be per-image or universal, got {mode}")
     if not 1 <= m <= len(inputs):
         raise ConfigError(f"--m must be in [1, {len(inputs)}]")
+    if repeat < 1:
+        raise ConfigError("--repeat must be >= 1")
     for opt in opts:
-        if opt not in ATTACK_ALPHA:
+        if opt not in METHODS:
             raise ConfigError(f"--opt: unknown optimizer {opt!r}")
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
 
     jobs = []
     for opt in opts:

@@ -164,16 +164,6 @@ class L2Ball:
         return f"L2Ball(center={self.center}, radius={self.radius})"
 
 
-def project_euclidean(cset, y):
-    """argmin_{x in cset} ||x - y||_2."""
-    return cset.project(y)
-
-
-def project_mahalanobis(cset, metric, y):
-    """argmin_{x in cset} ||diag(metric.h)^(1/2) (x - y)||^2."""
-    return cset.project_metric(y, metric.h)
-
-
 def gradient_mapping(cset, metric, x_minus, g, omega):
     """P = (x- minus x+)/omega for the weighted proximal step
 

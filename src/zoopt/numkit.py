@@ -204,10 +204,3 @@ def sample_unit_ball(d, rng, n=None):
     rng.rewind((2 * d + 1) * (n - k) - 2 * d)
     return np.concatenate([head, sample_unit_ball(d, rng)[None],
                            sample_unit_ball(d, rng, n - k - 1)])
-
-
-def elementwise_max(a, b):
-    """Componentwise maximum of two equal-dimension vectors."""
-    a = as_vector(a)
-    b = as_vector(b, a.shape[0])
-    return np.maximum(a, b)

@@ -9,12 +9,17 @@ The adaptive method keeps exponential moving averages
 and steps x+ = proj_{X, sqrt(v_hat)}(x - alpha_t * m / sqrt(v_hat)), where the
 projection minimizes the diagonally weighted distance.  Limiting cases recover
 plain (projected) SGD and sign-SGD; see the reduction tests.
+
+Each method is one row of ``METHODS``: its step rule (adaptive, plain or
+sign), whether it projects, its estimator and any schedules it requires.
+The six baselines share two step functions: ``zo-smd`` is the projected
+plain step and ``zo-scd`` the unprojected one.
 """
 
 import logging
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -29,10 +34,42 @@ from .numkit import (RngStream, block_spans, check_finite, sample_unit_sphere,
 
 log = logging.getLogger("zoopt")
 
-ALGORITHMS = ("zo-adamm", "zo-sgd", "zo-signsgd", "zo-scd",
-              "zo-psgd", "zo-smd", "zo-nes")
 
-_UNCONSTRAINED_ONLY = ("zo-sgd", "zo-signsgd", "zo-scd")
+@dataclass(frozen=True)
+class Method:
+    """One row of ``METHODS``."""
+    step: str                  # adaptive | plain | sign
+    projected: bool            # False: unconstrained problems only
+    attack_alpha: float        # step size for the pinned-victim attacks
+    estimator: str = "uniform-two-point"   # default estimator kind
+    estimator_required: bool = False       # no other kind but "analytic"
+    schedules: dict = field(default_factory=dict)  # required OptConfig values
+    mu: float = None           # default estimator mu under those schedules
+
+
+# The attack step sizes come from a small grid search for the best converged
+# objective with a successful attack on the desk-scale attack problems.
+METHODS = {
+    "zo-adamm": Method("adaptive", True, 0.025),
+    "zo-sgd": Method("plain", False, 0.05),
+    "zo-signsgd": Method("sign", False, 0.05),
+    "zo-scd": Method("plain", False, 0.3, estimator="coordinate",
+                     estimator_required=True),
+    "zo-psgd": Method("plain", True, 0.05),
+    # mirror descent (half-squared-l2 map): alpha/sqrt(t) and mu0/(d*t)
+    "zo-smd": Method("plain", True, 0.02,
+                     schedules={"alpha_schedule": "inverse-sqrt",
+                                "mu_schedule": "inverse-dt"}, mu=1.0),
+    # the NES baseline: projected sign step on antithetic Gaussian differences
+    "zo-nes": Method("sign", True, 0.02, estimator="nes-antithetic",
+                     estimator_required=True),
+}
+
+
+def _row(name):
+    if name not in METHODS:
+        raise ConfigError(f"optimizer.algorithm: unknown algorithm {name!r}")
+    return METHODS[name]
 
 
 @dataclass
@@ -164,37 +201,34 @@ def zo_scd_step(x, sparse_estimate, alpha_t):
 
 def validate_config(cfg, problem, query_budget, max_iters=None):
     """Surface configuration problems before the first iteration."""
-    if cfg.algorithm not in ALGORITHMS:
-        raise ConfigError(f"optimizer.algorithm: unknown algorithm {cfg.algorithm!r}")
+    row = _row(cfg.algorithm)
     if not 0.0 <= cfg.beta1 <= 1.0 or not 0.0 <= cfg.beta2 <= 1.0:
         raise ConfigError("optimizer.beta1/beta2 must lie in [0, 1]")
     if not (math.isfinite(cfg.alpha) and cfg.alpha > 0):
         raise ConfigError("optimizer.alpha must be positive and finite")
     cfg.estimator.validate()
 
-    if cfg.algorithm == "zo-adamm" and not cfg.euclidean_projection_override:
+    if row.step == "adaptive" and not cfg.euclidean_projection_override:
         if cfg.vhat0 <= 0 and cfg.use_vhat_max:
             raise ConfigError("optimizer.vhat0 must be positive for the "
                               "weighted projection")
-    if cfg.algorithm in _UNCONSTRAINED_ONLY and not isinstance(problem.constraint,
-                                                               Unconstrained):
+    if not row.projected and not isinstance(problem.constraint, Unconstrained):
         raise ConfigError(f"optimizer.algorithm: {cfg.algorithm} handles "
                           "unconstrained problems only")
-    if cfg.algorithm == "zo-smd":
-        if cfg.alpha_schedule != "inverse-sqrt" or cfg.mu_schedule != "inverse-dt":
-            raise ConfigError("optimizer.alpha_schedule/mu_schedule: zo-smd uses "
-                              "alpha/sqrt(t) and mu0/(d*t)")
-    if cfg.algorithm == "zo-scd" and cfg.estimator.kind not in ("coordinate", "analytic"):
-        raise ConfigError("optimizer.algorithm: zo-scd requires the coordinate "
-                          "estimator")
-    if cfg.algorithm == "zo-nes" and cfg.estimator.kind not in ("nes-antithetic",
-                                                                "analytic"):
-        raise ConfigError("optimizer.algorithm: zo-nes requires the antithetic "
-                          "Gaussian estimator")
+    for key, value in row.schedules.items():
+        if getattr(cfg, key) != value:
+            raise ConfigError(f"optimizer.{key}: {cfg.algorithm} requires "
+                              f"{value!r}")
+    if row.estimator_required and cfg.estimator.kind not in (row.estimator,
+                                                             "analytic"):
+        raise ConfigError(f"optimizer.kind: {cfg.algorithm} requires the "
+                          f"{row.estimator} estimator")
     if cfg.estimator.kind == "analytic" and problem.metadata.gradient is None:
         raise ConfigError("estimator.kind: analytic estimator needs a problem "
                           "with a recorded gradient")
 
+    if max_iters is not None and max_iters < 0:
+        raise ConfigError("run.max_iters: must be >= 0")
     cost = query_cost(cfg.estimator, problem.objective.dim)
     if cost == 0 and max_iters is None:
         raise ConfigError("run.max_iters: required with a query-free estimator")
@@ -208,21 +242,17 @@ def validate_config(cfg, problem, query_budget, max_iters=None):
 
 
 def default_config(algorithm, **overrides):
-    """OptConfig preset for each method (estimator kind and schedules wired up)."""
-    est = EstimatorConfig()
-    cfg = OptConfig(algorithm=algorithm, estimator=est)
-    if algorithm == "zo-scd":
-        est.kind = "coordinate"
-    elif algorithm == "zo-nes":
-        est.kind = "nes-antithetic"
-    if algorithm == "zo-smd":
-        cfg.mu_schedule = "inverse-dt"
-        cfg.estimator.mu = 1.0
-    est_over = {k: overrides.pop(k) for k in ("mu", "b", "q", "kind", "directions")
-                if k in overrides}
-    cfg = replace(cfg, **overrides)
-    cfg.estimator = replace(cfg.estimator, **est_over)
-    return cfg
+    """OptConfig preset for a method: its estimator kind and, where it requires
+    them, its schedules and their mu; ``overrides`` name fields of OptConfig
+    or EstimatorConfig."""
+    row = _row(algorithm)
+    est = {"kind": row.estimator}
+    if row.mu is not None:
+        est["mu"] = row.mu
+    est.update((f.name, overrides.pop(f.name)) for f in fields(EstimatorConfig)
+               if f.name in overrides)
+    return OptConfig(algorithm=algorithm, estimator=EstimatorConfig(**est),
+                     **{**row.schedules, **overrides})
 
 
 def _approx_full_gradient(problem, x, t, cfg, q=200, mu=1e-3):
@@ -274,6 +304,7 @@ def run_optimizer(problem, cfg, query_budget, max_iters=None, stride=None,
     cset = problem.constraint
     d = obj.dim
     cost = validate_config(cfg, problem, query_budget, max_iters)
+    row = METHODS[cfg.algorithm]
     rng = RngStream(cfg.seed)
 
     planned = max_iters if cost == 0 else query_budget // cost
@@ -299,7 +330,7 @@ def run_optimizer(problem, cfg, query_budget, max_iters=None, stride=None,
         grad, approx = _reference_gradient(problem, x, it, cfg, record_measure)
         rec = TraceRecord(iter=it, queries=used(), loss=obj.full_loss(x))
         if grad is not None:
-            if cfg.algorithm == "zo-adamm" and it > 0:
+            if row.step == "adaptive" and it > 0:
                 h = np.sqrt(np.maximum(state.v_hat, 1e-300))
             else:
                 h = np.ones(d)
@@ -355,20 +386,14 @@ def run_optimizer(problem, cfg, query_budget, max_iters=None, stride=None,
                 trace.sampled_losses.append(ft_x)
                 trace.comparator_losses.append(ft_c)
 
-            if cfg.algorithm == "zo-adamm":
+            # step functions are looked up by name on each call, so a wrapper
+            # installed on the module sees them
+            if row.step == "adaptive":
                 state, x = zo_adamm_step(state, x, g_hat, cfg, cset)
-            elif cfg.algorithm == "zo-sgd":
-                x = zo_sgd_step(x, g_hat, alpha_t, cset, projected=False)
-            elif cfg.algorithm == "zo-psgd":
-                x = zo_sgd_step(x, g_hat, alpha_t, cset, projected=True)
-            elif cfg.algorithm == "zo-signsgd":
-                x = zo_signsgd_step(x, g_hat, alpha_t, cset, projected=False)
-            elif cfg.algorithm == "zo-nes":
-                x = zo_signsgd_step(x, g_hat, alpha_t, cset, projected=True)
-            elif cfg.algorithm == "zo-smd":
-                x = zo_smd_step(x, g_hat, alpha_t, cset)
-            else:  # zo-scd
-                x = zo_scd_step(x, g_hat, alpha_t)
+            elif row.step == "plain":
+                x = zo_sgd_step(x, g_hat, alpha_t, cset, row.projected)
+            else:
+                x = zo_signsgd_step(x, g_hat, alpha_t, cset, row.projected)
             check_finite(x, "iterate")
 
             if keep_iterates:

@@ -243,11 +243,6 @@ class TinyMlp:
         return cls(*arrs)
 
 
-def mlp_forward(model, x):
-    """Prediction scores (logits) of the victim for input x."""
-    return model.forward(x)
-
-
 def cw_loss(logits, t, kappa=0.0):
     """max{ Z_t - max_{j != t} Z_j, -kappa }: zero (or -kappa) exactly when the
     model no longer ranks class t on top with margin kappa."""

@@ -17,8 +17,7 @@ from .estimators import (MU_FLOOR, averaged_estimator, clamp_mu,
                          coordinate_estimate, nes_antithetic_estimate,
                          two_point_estimates, two_point_uniform)
 from .geometry import (Box, DiagonalMetric, L2Ball, SymmetricBand, Unconstrained,
-                       gradient_mapping, project_euclidean, project_mahalanobis,
-                       vi_violation)
+                       gradient_mapping, vi_violation)
 from .numkit import RngStream, block_spans, sample_unit_sphere
 from .optimizers import (AdaMMState, adamm_direction, default_config,
                          run_optimizer, zo_adamm_step)
@@ -303,7 +302,7 @@ def geometry_suite(seed=0, n_band=100, n_idem=1000, n_reduce=1000):
         band = _random_band(rng, d)
         h = 0.2 + rng.uniform(d) * 3.0
         y = rng.normal(d) * 2.0
-        proj = project_mahalanobis(band, DiagonalMetric(h), y)
+        proj = band.project_metric(y, h)
         oracle = _band_oracle(band, h, y)
         worst_oracle = max(worst_oracle, float(np.max(np.abs(proj - oracle))))
         wd_proj = float(np.dot(h * (proj - y), proj - y))
@@ -327,7 +326,7 @@ def geometry_suite(seed=0, n_band=100, n_idem=1000, n_reduce=1000):
         box = Box(lo, hi)
         h = 0.1 + rng.uniform(d) * 5.0
         y = rng.normal(d) * 3.0
-        if not np.array_equal(project_mahalanobis(box, DiagonalMetric(h), y),
+        if not np.array_equal(box.project_metric(y, h),
                               np.clip(y, lo, hi)):
             exact = False
     out.append(PropertyResult("geometry.box_weighted_is_clamp", exact,
@@ -353,8 +352,7 @@ def geometry_suite(seed=0, n_band=100, n_idem=1000, n_reduce=1000):
     for cset, d in sets:
         y = rng.normal(d) * 3.0
         h = 0.2 + rng.uniform(d) * 3.0
-        for proj in (lambda v: project_euclidean(cset, v),
-                     lambda v: project_mahalanobis(cset, DiagonalMetric(h), v)):
+        for proj in (cset.project, lambda v: cset.project_metric(v, h)):
             p1 = proj(y)
             p2 = proj(p1)
             worst_idem = max(worst_idem, float(np.max(np.abs(p2 - p1))))
@@ -367,8 +365,8 @@ def geometry_suite(seed=0, n_band=100, n_idem=1000, n_reduce=1000):
     worst_red = 0.0
     for cset, d in sets[:n_reduce]:
         y = rng.normal(d) * 3.0
-        pe = project_euclidean(cset, y)
-        pm = project_mahalanobis(cset, DiagonalMetric.unit(d), y)
+        pe = cset.project(y)
+        pm = cset.project_metric(y, np.ones(d))
         worst_red = max(worst_red, float(np.max(np.abs(pe - pm))))
     out.append(_leq("geometry.unit_metric_reduction", worst_red, 1e-12))
 

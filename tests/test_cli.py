@@ -1,9 +1,12 @@
 import json
+from dataclasses import fields
 
 import pytest
 
-from zoopt.cli import main, parse_config_file
+from zoopt.cli import SCHEMA, build_optimizer_config, main, parse_config_file
 from zoopt.errors import ConfigError
+from zoopt.estimators import EstimatorConfig
+from zoopt.optimizers import OptConfig
 
 QUAD_CFG = """
 problem.kind = quadratic
@@ -184,8 +187,53 @@ def test_sweep_parallel_workers_deterministic(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("line", ["optimizer.alpha = nan", "optimizer.alpha = inf",
                                   "optimizer.mu = nan\noptimizer.mu_schedule = constant",
-                                  "optimizer.q = 0"])
+                                  "optimizer.q = 0", "run.repeat = 0",
+                                  "run.max_iters = -5", "problem.d = 0",
+                                  "problem.kind = logistic\nproblem.radius = 0"])
 def test_non_finite_or_invalid_settings_exit_2(tmp_path, capsys, line):
-    cfg = write_cfg(tmp_path, QUAD_CFG + line + "\n")
+    # the line's keys replace those of QUAD_CFG
+    keys = {row.split("=")[0].strip() for row in line.splitlines()}
+    kept = [row for row in QUAD_CFG.splitlines()
+            if row.split("=")[0].strip() not in keys]
+    cfg = write_cfg(tmp_path, "\n".join(kept + [line]) + "\n")
     assert main(["run", str(cfg)]) == 2
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "duplicate" not in err
+    assert not list((tmp_path / "out").glob("*"))
+
+
+def test_attack_repeat_0_exits_2(tmp_path, capsys):
+    out = tmp_path / "att"
+    assert main(["attack", "--m", "1", "--opt", "zo-adamm", "--budget", "22",
+                 "--repeat", "0", "--out", str(out)]) == 2
+    assert "--repeat" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_every_optimizer_key_lands_on_the_resolved_config(tmp_path):
+    defaults = {**vars(EstimatorConfig()), **vars(OptConfig())}
+    text = {"algorithm": "zo-psgd", "alpha_schedule": "constant",
+            "mu_schedule": "inverse-dt", "kind": "coordinate",
+            "directions": "gaussian"}
+    want = {}
+    for i, key in enumerate(k for k in SCHEMA if k.startswith("optimizer.")):
+        name, typ = key.split(".", 1)[1], SCHEMA[key]
+        if typ is str:
+            want[name] = text[name]
+        elif typ is bool:
+            want[name] = not defaults[name]
+        else:
+            want[name] = typ(defaults[name]) + typ(i + 1)
+        assert want[name] != defaults[name]
+    assert set(want) == {f.name for cls in (OptConfig, EstimatorConfig)
+                         for f in fields(cls)} - {"estimator", "seed"}
+    path = tmp_path / "all.cfg"
+    path.write_text("".join(
+        f"optimizer.{name} = {str(v).lower() if isinstance(v, bool) else v}\n"
+        for name, v in want.items()))
+    cfg = build_optimizer_config(parse_config_file(path), seed=5)
+    est_names = {f.name for f in fields(EstimatorConfig)}
+    for name, value in want.items():
+        owner = cfg.estimator if name in est_names else cfg
+        assert getattr(owner, name) == value, name
+    assert cfg.use_vhat_max is False and cfg.seed == 5

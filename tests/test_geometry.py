@@ -3,8 +3,7 @@ import pytest
 
 from zoopt.geometry import (Box, DiagonalMetric, L2Ball, SymmetricBand,
                             Unconstrained, gradient_mapping,
-                            mahalanobis_measure, project_euclidean,
-                            project_mahalanobis, vi_violation)
+                            mahalanobis_measure, vi_violation)
 from zoopt.numkit import RngStream
 
 BAND = SymmetricBand([1.0, 1.0], 1.0)
@@ -12,25 +11,24 @@ BAND = SymmetricBand([1.0, 1.0], 1.0)
 
 def test_member_point_unchanged():
     y = np.array([0.3, -0.2])
-    assert np.array_equal(project_euclidean(BAND, y), y)
-    assert np.array_equal(project_mahalanobis(BAND, DiagonalMetric([2.0, 5.0]), y), y)
+    assert np.array_equal(BAND.project(y), y)
+    assert np.array_equal(BAND.project_metric(y, np.array([2.0, 5.0])), y)
 
 
 def test_band_projection_pins_corner():
     for alpha in (1e-6, 0.01, 0.3, 0.49):
         y = np.array([0.5 + alpha, 0.5 + alpha])
-        assert np.array_equal(project_euclidean(BAND, y), [0.5, 0.5])
+        assert np.array_equal(BAND.project(y), [0.5, 0.5])
 
 
 def test_box_clamp():
     box = Box([-0.5, -0.5], [0.5, 0.5])
-    assert np.array_equal(project_euclidean(box, [0.7, -0.9]), [0.5, -0.5])
+    assert np.array_equal(box.project([0.7, -0.9]), [0.5, -0.5])
 
 
 def test_weighted_band_closed_form():
     # KKT for h=[2,1], y=[0.8, 0.8] gives [0.5 + alpha/3, 0.5 - alpha/3]
-    metric = DiagonalMetric([2.0, 1.0])
-    got = project_mahalanobis(BAND, metric, [0.8, 0.8])
+    got = BAND.project_metric([0.8, 0.8], np.array([2.0, 1.0]))
     assert np.allclose(got, [0.6, 0.4], atol=1e-6)
     # numerical oracle: scan the active hyperplane x1 + x2 = 1 finely
     ts = np.linspace(-2, 3, 200_001)
@@ -49,8 +47,8 @@ def test_unit_metric_matches_euclidean():
     for _ in range(1000):
         y = rng.normal(2) * 2.0
         cset = sets[int(rng.uniform() * len(sets))]
-        pe = project_euclidean(cset, y)
-        pm = project_mahalanobis(cset, DiagonalMetric.unit(2), y)
+        pe = cset.project(y)
+        pm = cset.project_metric(y, np.ones(2))
         assert np.max(np.abs(pe - pm)) <= 1e-12
 
 
@@ -61,7 +59,7 @@ def test_weighted_box_is_exact_clamp():
         box = Box(lo, lo + 0.2 + rng.uniform(4))
         h = 0.1 + rng.uniform(4) * 4.0
         y = rng.normal(4) * 3.0
-        assert np.array_equal(project_mahalanobis(box, DiagonalMetric(h), y),
+        assert np.array_equal(box.project_metric(y, h),
                               np.clip(y, box.lo, box.hi))
 
 
@@ -75,8 +73,7 @@ def test_projection_idempotent_and_feasible():
                 L2Ball(rng.normal(d), 0.3 + rng.uniform())][int(rng.uniform() * 4)]
         h = 0.2 + rng.uniform(d) * 2.0
         y = rng.normal(d) * 3.0
-        for proj in (lambda v: project_euclidean(cset, v),
-                     lambda v: project_mahalanobis(cset, DiagonalMetric(h), v)):
+        for proj in (cset.project, lambda v: cset.project_metric(v, h)):
             p = proj(y)
             assert cset.member(p, tol=1e-12)
             assert np.max(np.abs(proj(p) - p)) <= 1e-12
@@ -135,10 +132,10 @@ def test_vi_violation_examples():
 def test_l2ball_projections():
     ball = L2Ball([0.0, 0.0], 2.0)
     y = np.array([6.0, 8.0])
-    assert np.allclose(project_euclidean(ball, y), [1.2, 1.6], atol=1e-12)
+    assert np.allclose(ball.project(y), [1.2, 1.6], atol=1e-12)
     # weighted projection still lands on the sphere and beats a feasible sweep
     h = np.array([5.0, 1.0])
-    p = project_mahalanobis(ball, DiagonalMetric(h), y)
+    p = ball.project_metric(y, h)
     assert abs(np.linalg.norm(p) - 2.0) <= 1e-9
     thetas = np.linspace(0, 2 * np.pi, 100_000)
     cands = 2.0 * np.stack([np.cos(thetas), np.sin(thetas)], axis=1)

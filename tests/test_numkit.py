@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from zoopt.numkit import (BLOCK_WORDS, RngStream, block_spans, elementwise_max,
-                          sample_unit_ball, sample_unit_sphere, weighted_row_sum)
+from zoopt.numkit import (BLOCK_WORDS, RngStream, block_spans, sample_unit_ball,
+                          sample_unit_sphere, weighted_row_sum)
 
 # first raw words of seed 42, frozen from a verified run: regression anchor for
 # the pinned generator algorithm
@@ -96,24 +96,6 @@ def test_ball_second_moment_dim_two():
         assert np.dot(u, u) <= 1.0
         sq[k] = np.dot(u, u)
     assert abs(sq.mean() - 0.5) <= 0.01
-
-
-def test_elementwise_max():
-    assert np.array_equal(elementwise_max([1, 5], [3, 2]), [3, 5])
-    a = np.array([2.0, -1.0, 0.5])
-    assert np.array_equal(elementwise_max(a, a), a)
-    assert np.array_equal(elementwise_max([-1, 0], [0, -1]), [0, 0])
-    with pytest.raises(ValueError):
-        elementwise_max([1, 2], [1, 2, 3])
-
-
-def test_elementwise_max_monotone():
-    rng = RngStream(8)
-    for _ in range(100):
-        a = rng.normal(6)
-        b = rng.normal(6)
-        a_up = a + np.abs(rng.normal(6))
-        assert np.all(elementwise_max(a, b) <= elementwise_max(a_up, b))
 
 
 def test_zero_length_draws_are_empty_and_free():

@@ -7,7 +7,7 @@ from zoopt.errors import ConfigError
 from zoopt.geometry import Box, SymmetricBand, Unconstrained
 from zoopt import numkit
 from zoopt.numkit import RngStream, sample_unit_sphere
-from zoopt.optimizers import (AdaMMState, _approx_full_gradient,
+from zoopt.optimizers import (METHODS, AdaMMState, _approx_full_gradient,
                               adamm_direction, default_config, run_optimizer,
                               smoothing_at, zo_adamm_step, zo_scd_step,
                               zo_sgd_step, zo_signsgd_step, zo_smd_step)
@@ -166,22 +166,54 @@ def test_run_query_budget_accounting():
     assert all(b > a for a, b in zip(queries, queries[1:]))
 
 
-def test_constrained_run_iterates_feasible():
+@pytest.mark.parametrize("algo", [n for n, m in METHODS.items() if m.projected])
+def test_constrained_run_iterates_feasible(algo):
     prob = make_logistic(30, 6, seed=8, radius=1.0)
-    for algo in ("zo-adamm", "zo-psgd", "zo-smd", "zo-nes"):
-        cfg = default_config(algo, seed=3, alpha=0.5, b=1, q=2)
-        res = run_optimizer(prob, cfg, 600, keep_iterates=True)
-        for xt in res.trace.iterates:
-            assert prob.constraint.member(xt, tol=1e-12)
+    cfg = default_config(algo, seed=3, alpha=0.5, b=1, q=2)
+    res = run_optimizer(prob, cfg, 600, keep_iterates=True)
+    for xt in res.trace.iterates:
+        assert prob.constraint.member(xt, tol=1e-12)
 
 
-def test_unconstrained_algorithms_reject_constraints():
+@pytest.mark.parametrize("algo", [n for n, m in METHODS.items()
+                                  if not m.projected])
+def test_unconstrained_algorithms_reject_constraints(algo):
     prob = make_logistic(10, 4, seed=9)
-    for algo in ("zo-sgd", "zo-signsgd"):
-        with pytest.raises(ConfigError):
-            run_optimizer(prob, default_config(algo), 200)
     with pytest.raises(ConfigError):
-        run_optimizer(prob, default_config("zo-scd"), 200)
+        run_optimizer(prob, default_config(algo), 200)
+    assert prob.objective.queries == 0
+
+
+ESTIMATOR_KINDS = ("uniform-two-point", "coordinate", "nes-antithetic",
+                   "analytic")
+SCHEDULES = {"alpha_schedule": ("constant", "inverse-sqrt"),
+             "mu_schedule": ("constant", "inverse-sqrt-Td", "inverse-dt")}
+
+
+@pytest.mark.parametrize("algo", list(METHODS))
+def test_required_estimator_and_schedules_are_enforced(algo):
+    """A row's required estimator (or the analytic one) and its required
+    schedule values are the only ones its runs accept; other rows take any."""
+    row = METHODS[algo]
+
+    def accepted(**overrides):
+        prob = make_quadratic(4, seed=1)
+        try:
+            run_optimizer(prob, default_config(algo, **overrides), 100,
+                          max_iters=2)
+        except ConfigError:
+            assert prob.objective.queries == 0
+            return False
+        return True
+
+    assert accepted()
+    for kind in ESTIMATOR_KINDS:
+        assert accepted(kind=kind) == (not row.estimator_required
+                                       or kind in (row.estimator, "analytic"))
+    for key, values in SCHEDULES.items():
+        for value in values:
+            assert accepted(**{key: value}) == \
+                (row.schedules.get(key, value) == value)
 
 
 def test_adamm_matches_sgd_trajectory():

@@ -8,7 +8,7 @@ from zoopt.numkit import RngStream
 from zoopt.problems import (TinyMlp, cw_loss, generate_victim, load_victim,
                             make_attack_problem, make_counterexample_lp,
                             make_logistic, make_nonconvex, make_quadratic,
-                            mlp_forward, tanh_reparam)
+                            tanh_reparam)
 
 # frozen from the first verified run of the pinned victim on pinned input 0
 GOLDEN_LOGITS_INPUT0 = [-0.4695104281778938, 0.3026733367354548,
@@ -96,7 +96,7 @@ def test_nonconvex_reductions():
 
 def test_mlp_zero_weights():
     model = TinyMlp(np.zeros((3, 2)), np.zeros(3), np.zeros((2, 3)), np.zeros(2))
-    assert np.array_equal(mlp_forward(model, np.array([0.2, -0.1])), np.zeros(2))
+    assert np.array_equal(model.forward(np.array([0.2, -0.1])), np.zeros(2))
 
 
 def test_mlp_linear_selection():
@@ -104,13 +104,13 @@ def test_mlp_linear_selection():
     w1 = np.eye(3)[:2] * 1.0  # selects coords 0, 1
     model = TinyMlp(w1, np.zeros(2), np.eye(2), np.zeros(2))
     x = np.array([1e-9, -2e-9, 5.0])
-    out = mlp_forward(model, x)
+    out = model.forward(x)
     assert np.allclose(out, [1e-9, -2e-9], atol=1e-18)
 
 
 def test_mlp_golden_logits():
     model, inputs, labels = load_victim()
-    assert np.allclose(mlp_forward(model, inputs[0]), GOLDEN_LOGITS_INPUT0,
+    assert np.allclose(model.forward(inputs[0]), GOLDEN_LOGITS_INPUT0,
                        atol=1e-12)
 
 
@@ -123,7 +123,7 @@ def test_victim_pinned_matches_generator():
     assert all(np.array_equal(a, b) for a, b in zip(inputs, regen_inputs))
     # every pinned input is classified as its label with a real margin
     for im, t in zip(inputs, labels):
-        z = mlp_forward(model, im)
+        z = model.forward(im)
         assert int(np.argmax(z)) == t
         assert float(z[t] - np.delete(z, t).max()) >= 0.1
 
@@ -165,7 +165,7 @@ def _victim():
 def test_attack_constrained_at_zero():
     model, inputs, labels = _victim()
     prob = make_attack_problem(model, inputs, labels, lam=10.0)
-    cw_sum = sum(cw_loss(mlp_forward(model, im), t)
+    cw_sum = sum(cw_loss(model.forward(im), t)
                  for im, t in zip(inputs, labels))
     assert prob.objective.full_loss(np.zeros(16)) == \
         pytest.approx(10.0 * cw_sum / len(inputs), abs=1e-12)
@@ -201,7 +201,7 @@ def test_attack_unconstrained_mode():
                                mode="unconstrained")
     assert isinstance(prob.constraint, Unconstrained)
     w = np.zeros(16)
-    want = 10.0 * cw_loss(mlp_forward(model, tanh_reparam(w, inputs[0])),
+    want = 10.0 * cw_loss(model.forward(tanh_reparam(w, inputs[0])),
                           labels[0])
     assert prob.objective.peek(w, 0) == pytest.approx(want, rel=1e-9)
     assert prob.distortion_fn(w) <= 1e-12
