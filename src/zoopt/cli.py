@@ -8,9 +8,7 @@ with dotted section keys; unknown keys are hard errors.  Exit codes: 0 pass,
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from pathlib import Path
 
@@ -56,7 +54,6 @@ SCHEMA = {
     "run.outdir": str,
     "run.stride": int,            # 0 means auto
     "run.record_measure": str,
-    "run.workers": int,
     "run.tag": str,
     "sweep.param": str,
     "sweep.grid": str,
@@ -71,10 +68,14 @@ DEFAULTS = {
     "problem.box": 0.0, "problem.mode": "constrained", "problem.m": 1,
     "problem.image": 0, "problem.lambda": 10.0, "problem.kappa": 0.0,
     "run.max_iters": 0, "run.repeat": 1, "run.base_seed": 0,
-    "run.stride": 0, "run.record_measure": "auto", "run.workers": 1,
-    "run.tag": "run",
+    "run.stride": 0, "run.record_measure": "auto", "run.tag": "run",
     "sweep.param": "", "sweep.grid": "", "sweep.param2": "", "sweep.grid2": "",
 }
+
+# lowest accepted value of the keys with a lower bound that no constructor or
+# validate_config checks; 0 keeps its documented meaning where it has one
+MINIMUM = {"problem.samples": 0, "problem.box": 0.0, "problem.m": 1,
+           "run.repeat": 1, "run.stride": 0}
 
 
 def _coerce(key, raw):
@@ -163,21 +164,45 @@ def build_optimizer_config(values, seed):
                           **overrides)
 
 
-def worker_count(values):
-    env = os.environ.get("ZOOPT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"ZOOPT_THREADS: cannot parse {env!r} as int")
-    return max(1, values.get("run.workers", DEFAULTS["run.workers"]))
+def _check_minimums(values):
+    for key, lowest in MINIMUM.items():
+        if not values.get(key, DEFAULTS[key]) >= lowest:
+            raise ConfigError(f"{key}: must be >= {lowest}")
 
 
-def _repeat(values):
-    repeat = values.get("run.repeat", DEFAULTS["run.repeat"])
-    if repeat < 1:
-        raise ConfigError("run.repeat: must be >= 1")
-    return repeat
+def _plan(config_path, sweep):
+    """Parse a run or sweep config into its output directory, created once the
+    config checks out, and one (values, seed, label) job per grid point and
+    repeat.  Without ``sweep`` the grid is the single point of the file."""
+    values = parse_config_file(config_path)
+    _check_minimums(values)
+    points = [(values, values.get("run.tag", "run"))]
+    for param_key, grid_key in ((("sweep.param", "sweep.grid"),
+                                 ("sweep.param2", "sweep.grid2")) if sweep else ()):
+        param = values.get(param_key, "")
+        if not param:
+            continue
+        if param not in SCHEMA:
+            raise ConfigError(f"{param_key}: unknown swept key {param!r}")
+        grid = [v.strip() for v in values.get(grid_key, "").split(",") if v.strip()]
+        if not grid:
+            raise ConfigError(f"{grid_key}: empty grid for swept key {param!r}")
+        points = [({**combo, param: _coerce(param, raw)},
+                   f"{label}_{param.split('.')[-1]}{raw}")
+                  for combo, label in points for raw in grid]
+    for combo, _ in points:
+        _check_minimums(combo)
+    outdir = Path(_require(values, "run.outdir"))
+    outdir.mkdir(parents=True, exist_ok=True)
+    base = values.get("run.base_seed", 0)
+    return values, outdir, [(combo, base + r, label) for combo, label in points
+                            for r in range(values.get("run.repeat", 1))]
+
+
+def _write_run(result, outdir, name):
+    csv_path = outdir / f"{name}.csv"
+    serialize_csv(result.trace, csv_path)
+    write_envelope(result, csv_path.name, outdir / f"{name}.json")
 
 
 def _execute_one(values, seed, outdir, tag):
@@ -193,24 +218,17 @@ def _execute_one(values, seed, outdir, tag):
     # suffices for exact re-execution
     result.config = {"file": {k: values[k] for k in sorted(values)},
                      "optimizer": result.config}
-    csv_path = outdir / f"{tag}_seed{seed}.csv"
-    serialize_csv(result.trace, csv_path)
-    write_envelope(result, csv_path.name, outdir / f"{tag}_seed{seed}.json")
+    _write_run(result, outdir, f"{tag}_seed{seed}")
     return result
 
 
 def cmd_run(config_path):
-    values = parse_config_file(config_path)
-    repeat = _repeat(values)
-    outdir = Path(_require(values, "run.outdir"))
-    outdir.mkdir(parents=True, exist_ok=True)
-    base = values.get("run.base_seed", 0)
-    tag = values.get("run.tag", "run")
+    _, outdir, jobs = _plan(config_path, sweep=False)
     exit_code = 0
-    for r in range(repeat):
-        result = _execute_one(values, base + r, outdir, tag)
+    for combo, seed, tag in jobs:
+        result = _execute_one(combo, seed, outdir, tag)
         status = "aborted" if result.trace.aborted else "ok"
-        print(f"{tag} seed={base + r}: {status}, "
+        print(f"{tag} seed={seed}: {status}, "
               f"final_loss={result.trace.records[-1].loss:.6g}, "
               f"queries={result.trace.total_queries}, "
               f"seconds={result.seconds:.3f}")
@@ -221,56 +239,20 @@ def cmd_run(config_path):
 
 
 def cmd_sweep(config_path):
-    values = parse_config_file(config_path)
-    repeat = _repeat(values)
-    outdir = Path(_require(values, "run.outdir"))
-    outdir.mkdir(parents=True, exist_ok=True)
-    base = values.get("run.base_seed", 0)
-    tag = values.get("run.tag", "run")
-
-    def axis(param_key, grid_key):
-        param = values.get(param_key, "")
-        if not param:
-            return [None]
-        if param not in SCHEMA:
-            raise ConfigError(f"{param_key}: unknown swept key {param!r}")
-        grid = [v.strip() for v in values.get(grid_key, "").split(",") if v.strip()]
-        if not grid:
-            raise ConfigError(f"{grid_key}: empty grid for swept key {param!r}")
-        return [(param, _coerce(param, v), v) for v in grid]
-
-    jobs = []
-    for p1 in axis("sweep.param", "sweep.grid"):
-        for p2 in axis("sweep.param2", "sweep.grid2"):
-            combo = dict(values)
-            label = tag
-            for p in (p1, p2):
-                if p is not None:
-                    key, val, raw = p
-                    combo[key] = val
-                    label += f"_{key.split('.')[-1]}{raw}"
-            for r in range(repeat):
-                jobs.append((combo, base + r, label))
-
-    results = [None] * len(jobs)
-    with ThreadPoolExecutor(max_workers=worker_count(values)) as pool:
-        futures = [pool.submit(_execute_one, combo, seed, outdir, label)
-                   for combo, seed, label in jobs]
-        for i, fut in enumerate(futures):
-            results[i] = fut.result()
-
+    values, outdir, jobs = _plan(config_path, sweep=True)
     summary = []
-    for (combo, seed, label), res in zip(jobs, results):
+    for combo, seed, label in jobs:
+        res = _execute_one(combo, seed, outdir, label)
         summary.append({"label": label, "seed": seed,
                         "final_loss": res.trace.records[-1].loss,
                         "total_queries": res.trace.total_queries,
                         "aborted": res.trace.aborted})
-    with open(outdir / f"{tag}_sweep_summary.json", "w", encoding="utf-8",
-              newline="\n") as fh:
+    with open(outdir / f"{values.get('run.tag', 'run')}_sweep_summary.json", "w",
+              encoding="utf-8", newline="\n") as fh:
         json.dump(summary, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(f"sweep complete: {len(jobs)} runs -> {outdir}")
-    return 3 if any(r.trace.aborted for r in results) else 0
+    return 3 if any(row["aborted"] for row in summary) else 0
 
 
 def cmd_prop1():
@@ -339,8 +321,10 @@ def _attack_config(opt, seed):
 
 
 def run_attack_suite(mode, m, opts, budget, seed, outdir, formulation="auto",
-                     repeat=1, workers=1, lam=10.0, kappa=0.0):
-    """Run the pinned-victim attack protocol; returns the summary dict."""
+                     repeat=1, workers=1):
+    """Run the pinned-victim attack protocol one job after another; returns the
+    summary dict.  ``workers`` must be 1: the keyword remains for callers
+    written when the jobs ran on a thread pool."""
     model, inputs, labels = load_victim()
     if mode not in ("per-image", "universal"):
         raise ConfigError(f"attack mode must be per-image or universal, got {mode}")
@@ -348,73 +332,48 @@ def run_attack_suite(mode, m, opts, budget, seed, outdir, formulation="auto",
         raise ConfigError(f"--m must be in [1, {len(inputs)}]")
     if repeat < 1:
         raise ConfigError("--repeat must be >= 1")
+    if workers != 1:
+        raise ConfigError(f"workers: jobs run serially, got {workers}")
     for opt in opts:
         if opt not in METHODS:
             raise ConfigError(f"--opt: unknown optimizer {opt!r}")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    jobs = []
-    for opt in opts:
-        form = _attack_formulation(opt, formulation)
-        for r in range(repeat):
-            run_seed = seed + r
-            if mode == "per-image":
-                for i in range(m):
-                    problem = make_attack_problem(model, [inputs[i]], [labels[i]],
-                                                  lam=lam, kappa=kappa, mode=form)
-                    name = f"{opt}_img{i:02d}_seed{run_seed}"
-                    jobs.append((opt, run_seed, i, problem, name))
-            else:
-                problem = make_attack_problem(model, inputs[:m], labels[:m],
-                                              lam=lam, kappa=kappa, mode=form)
-                name = f"{opt}_universal_seed{run_seed}"
-                jobs.append((opt, run_seed, None, problem, name))
-
-    def execute(job):
-        opt, run_seed, img, problem, name = job
-        cfg = _attack_config(opt, run_seed)
-        res = run_optimizer(problem, cfg, budget)
-        csv_path = outdir / f"{name}.csv"
-        serialize_csv(res.trace, csv_path)
-        write_envelope(res, csv_path.name, outdir / f"{name}.json")
-        return res
-
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        results = list(pool.map(execute, jobs))
-
+    targets = ([(i, slice(i, i + 1), f"img{i:02d}") for i in range(m)]
+               if mode == "per-image" else [(None, slice(0, m), "universal")])
     summary = {"mode": mode, "m": m, "budget": budget, "seeds":
                list(range(seed, seed + repeat)), "optimizers": {}}
     for opt in opts:
+        form = _attack_formulation(opt, formulation)
         rows = []
-        for job, res in zip(jobs, results):
-            if job[0] != opt:
-                continue
-            fs = first_success(res.trace.records)
-            final = res.trace.records[-1]
-            rows.append({
-                "seed": job[1], "image": job[2],
-                "success": bool(final.success),
-                "ever_success": fs is not None,
-                "first_success_queries": None if fs is None else fs[1],
-                "final_distortion": final.distortion,
-                "final_loss": final.loss,
-                "images_fooled": problem_success_count(job[3], res.final_x),
-            })
+        for run_seed in range(seed, seed + repeat):
+            for image, span, label in targets:
+                problem = make_attack_problem(model, inputs[span], labels[span],
+                                              mode=form)
+                res = run_optimizer(problem, _attack_config(opt, run_seed), budget)
+                _write_run(res, outdir, f"{opt}_{label}_seed{run_seed}")
+                fs = first_success(res.trace.records)
+                final = res.trace.records[-1]
+                rows.append({
+                    "seed": run_seed, "image": image,
+                    "success": bool(final.success),
+                    "ever_success": fs is not None,
+                    "first_success_queries": None if fs is None else fs[1],
+                    "final_distortion": final.distortion,
+                    "final_loss": final.loss,
+                    "images_fooled": problem.success_count_fn(res.final_x),
+                })
         succ = [r for r in rows if r["ever_success"]]
         summary["optimizers"][opt] = {
             "runs": rows,
-            "success_rate": len(succ) / len(rows) if rows else 0.0,
+            "success_rate": len(succ) / len(rows),
             "median_first_success_queries":
                 _median([r["first_success_queries"] for r in succ]),
             "median_final_distortion_successful":
                 _median([r["final_distortion"] for r in succ]),
         }
     return summary
-
-
-def problem_success_count(problem, x):
-    return problem.success_count_fn(x) if problem.success_count_fn else 0
 
 
 def _median(vals):
@@ -441,8 +400,7 @@ def cmd_attack(args):
     opts = [o.strip() for o in args.opt.split(",") if o.strip()]
     summary = run_attack_suite(args.mode, args.m, opts, args.budget, args.seed,
                                args.out, formulation=args.formulation,
-                               repeat=args.repeat,
-                               workers=worker_count({}))
+                               repeat=args.repeat)
     outdir = Path(args.out)
     with open(outdir / "attack_summary.json", "w", encoding="utf-8",
               newline="\n") as fh:

@@ -47,13 +47,15 @@ class EstimatorConfig:
 
     def validate(self):
         if not (math.isfinite(self.mu) and self.mu > 0):
-            raise ConfigError("estimator.mu must be positive and finite")
-        if self.b < 1 or self.q < 1:
-            raise ConfigError("estimator.b and estimator.q must be >= 1")
+            raise ConfigError("optimizer.mu: must be positive and finite")
+        for key in ("b", "q"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"optimizer.{key}: must be >= 1")
         if self.kind not in ("uniform-two-point", "coordinate", "nes-antithetic", "analytic"):
-            raise ConfigError(f"unknown estimator kind {self.kind!r}")
+            raise ConfigError(f"optimizer.kind: unknown estimator {self.kind!r}")
         if self.directions not in ("sphere", "gaussian"):
-            raise ConfigError(f"unknown direction sampler {self.directions!r}")
+            raise ConfigError("optimizer.directions: unknown sampler "
+                              f"{self.directions!r}")
         return self
 
 

@@ -126,7 +126,8 @@ def step_size(cfg, t):
         return cfg.alpha
     if cfg.alpha_schedule == "inverse-sqrt":
         return cfg.alpha / math.sqrt(t)
-    raise ConfigError(f"unknown alpha_schedule {cfg.alpha_schedule!r}")
+    raise ConfigError("optimizer.alpha_schedule: unknown schedule "
+                      f"{cfg.alpha_schedule!r}")
 
 
 def smoothing_at(cfg, t, d, planned_iters):
@@ -136,7 +137,8 @@ def smoothing_at(cfg, t, d, planned_iters):
         return clamp_mu(1.0 / math.sqrt(max(planned_iters, 1) * d))
     if cfg.mu_schedule == "inverse-dt":
         return clamp_mu(cfg.estimator.mu / (d * t))
-    raise ConfigError(f"unknown mu_schedule {cfg.mu_schedule!r}")
+    raise ConfigError("optimizer.mu_schedule: unknown schedule "
+                      f"{cfg.mu_schedule!r}")
 
 
 def adamm_direction(state):
@@ -224,7 +226,7 @@ def validate_config(cfg, problem, query_budget, max_iters=None):
         raise ConfigError(f"optimizer.kind: {cfg.algorithm} requires the "
                           f"{row.estimator} estimator")
     if cfg.estimator.kind == "analytic" and problem.metadata.gradient is None:
-        raise ConfigError("estimator.kind: analytic estimator needs a problem "
+        raise ConfigError("optimizer.kind: analytic estimator needs a problem "
                           "with a recorded gradient")
 
     if max_iters is not None and max_iters < 0:

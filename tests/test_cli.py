@@ -1,9 +1,11 @@
 import json
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
-from zoopt.cli import SCHEMA, build_optimizer_config, main, parse_config_file
+from zoopt.cli import (SCHEMA, build_optimizer_config, main, parse_config_file,
+                       run_attack_suite)
 from zoopt.errors import ConfigError
 from zoopt.estimators import EstimatorConfig
 from zoopt.optimizers import OptConfig
@@ -35,9 +37,10 @@ def test_missing_config_file(capsys):
 
 def test_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("problem.kind = quadratic\nproblem.dd = 4\n")
-    assert main(["run", str(cfg)]) == 2
-    assert "problem.dd" in capsys.readouterr().err
+    for key in ("problem.dd", "run.workers"):
+        cfg.write_text(f"problem.kind = quadratic\n{key} = 4\n")
+        assert main(["run", str(cfg)]) == 2
+        assert f"unknown config key: {key}" in capsys.readouterr().err
 
 
 def test_duplicate_key_rejected(tmp_path):
@@ -160,36 +163,62 @@ run.tag = blow
     assert doc["summary"]["aborted"]
 
 
-def test_worker_count_env_override(monkeypatch):
-    from zoopt.cli import worker_count
-    assert worker_count({"run.workers": 3}) == 3
-    monkeypatch.setenv("ZOOPT_THREADS", "7")
-    assert worker_count({"run.workers": 3}) == 7
-    monkeypatch.setenv("ZOOPT_THREADS", "junk")
-    with pytest.raises(ConfigError):
-        worker_count({})
+def test_sweep_points_match_single_runs(tmp_path):
+    body = QUAD_CFG.replace("run.repeat = 2", "run.repeat = 1")
+    sweep = write_cfg(tmp_path, body + """
+sweep.param = optimizer.alpha
+sweep.grid = 0.05,0.2
+sweep.param2 = run.stride
+sweep.grid2 = 0,7
+""", "sweep")
+    assert main(["sweep", str(sweep)]) == 0
+    for alpha in ("0.05", "0.2"):
+        for stride in ("0", "7"):
+            single = write_cfg(tmp_path, body + f"optimizer.alpha = {alpha}\n"
+                               f"run.stride = {stride}\n", "single")
+            assert main(["run", str(single)]) == 0
+            swept = tmp_path / "sweep" / f"quick_alpha{alpha}_stride{stride}_seed11"
+            alone = tmp_path / "single" / "quick_seed11"
+            assert (Path(f"{swept}.csv").read_bytes()
+                    == Path(f"{alone}.csv").read_bytes())
+            doc, ref = (json.loads(Path(f"{p}.json").read_text())
+                        for p in (swept, alone))
+            assert doc["config"]["optimizer"] == ref["config"]["optimizer"]
+            assert doc["summary"] == ref["summary"]
 
 
-def test_sweep_parallel_workers_deterministic(tmp_path, monkeypatch):
-    body = QUAD_CFG.replace("run.repeat = 2", "run.repeat = 1") + \
-        "\nsweep.param = optimizer.alpha\nsweep.grid = 0.05,0.1,0.2\n"
-    cfg = write_cfg(tmp_path, body, "par")
-    monkeypatch.setenv("ZOOPT_THREADS", "3")
-    assert main(["sweep", str(cfg)]) == 0
-    parallel = {p.name: p.read_bytes() for p in sorted((tmp_path / "par").iterdir())}
-    monkeypatch.delenv("ZOOPT_THREADS")
-    for p in (tmp_path / "par").iterdir():
-        p.unlink()
-    assert main(["sweep", str(cfg)]) == 0
-    serial = {p.name: p.read_bytes() for p in sorted((tmp_path / "par").iterdir())}
-    assert parallel == serial
+def test_attack_suite_rejects_workers_other_than_1(tmp_path):
+    out = tmp_path / "att"
+    with pytest.raises(ConfigError, match="workers"):
+        run_attack_suite("per-image", 1, ["zo-adamm"], 22, 0, out, workers=2)
+    assert not out.exists()
 
 
-@pytest.mark.parametrize("line", ["optimizer.alpha = nan", "optimizer.alpha = inf",
-                                  "optimizer.mu = nan\noptimizer.mu_schedule = constant",
-                                  "optimizer.q = 0", "run.repeat = 0",
-                                  "run.max_iters = -5", "problem.d = 0",
-                                  "problem.kind = logistic\nproblem.radius = 0"])
+# each invalid setting, and the key its error message must name
+INVALID = {
+    "optimizer.alpha = nan": "optimizer.alpha",
+    "optimizer.alpha = inf": "optimizer.alpha",
+    "optimizer.mu = nan\noptimizer.mu_schedule = constant": "optimizer.mu",
+    "optimizer.q = 0": "optimizer.q",
+    "run.repeat = 0": "run.repeat",
+    "run.max_iters = -5": "run.max_iters",
+    "problem.d = 0": "problem.kind",
+    "problem.kind = logistic\nproblem.radius = 0": "problem.kind",
+    "optimizer.b = 0": "optimizer.b",
+    "optimizer.mu = -1\noptimizer.mu_schedule = constant": "optimizer.mu",
+    "optimizer.kind = bogus": "optimizer.kind",
+    "optimizer.directions = bogus": "optimizer.directions",
+    "problem.kind = attack\noptimizer.kind = analytic": "optimizer.kind",
+    "optimizer.alpha_schedule = bogus": "optimizer.alpha_schedule",
+    "run.stride = -4": "run.stride",
+    "problem.samples = -3": "problem.samples",
+    "problem.kind = nonconvex\nproblem.box = -0.5": "problem.box",
+    "problem.kind = attack\nproblem.m = -1": "problem.m",
+    "problem.kind = attack\nproblem.m = 0": "problem.m",
+}
+
+
+@pytest.mark.parametrize("line", list(INVALID))
 def test_non_finite_or_invalid_settings_exit_2(tmp_path, capsys, line):
     # the line's keys replace those of QUAD_CFG
     keys = {row.split("=")[0].strip() for row in line.splitlines()}
@@ -199,6 +228,7 @@ def test_non_finite_or_invalid_settings_exit_2(tmp_path, capsys, line):
     assert main(["run", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and "duplicate" not in err
+    assert INVALID[line] in err
     assert not list((tmp_path / "out").glob("*"))
 
 
