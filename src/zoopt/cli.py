@@ -7,7 +7,8 @@ with dotted section keys; unknown keys are hard errors.  Exit codes: 0 pass,
 """
 
 import argparse
-import json
+import math
+import statistics
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -16,9 +17,10 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 from .geometry import vi_violation
-from .metrics import first_success, serialize_csv, write_envelope
+from .metrics import first_success, serialize_csv, write_envelope, write_json
 from .estimators import EstimatorConfig
-from .optimizers import METHODS, OptConfig, default_config, run_optimizer
+from .optimizers import (METHODS, OptConfig, default_config, run_optimizer,
+                         validate_config)
 from .problems import (load_victim, make_attack_problem, make_counterexample_lp,
                        make_logistic, make_nonconvex, make_quadratic)
 from .validate import SUITES, run_suites
@@ -81,11 +83,12 @@ MINIMUM = {"problem.samples": 0, "problem.box": 0.0, "problem.m": 1,
 def _coerce(key, raw):
     typ = SCHEMA[key]
     try:
-        if typ is bool:
-            return _BOOL[raw.lower()]
-        return typ(raw)
+        value = _BOOL[raw.lower()] if typ is bool else typ(raw)
     except (KeyError, ValueError):
         raise ConfigError(f"{key}: cannot parse {raw!r} as {typ.__name__}")
+    if typ is float and not math.isfinite(value):
+        raise ConfigError(f"{key}: must be finite, got {raw!r}")
+    return value
 
 
 def parse_config_file(path):
@@ -109,51 +112,46 @@ def parse_config_file(path):
     return values
 
 
-def _require(values, key):
-    if key not in values:
-        raise ConfigError(f"missing required config key: {key}")
-    return values[key]
-
-
-def build_problem(values):
-    kind = _require(values, "problem.kind")
+def build_problem(s):
+    """The problem of resolved settings (``DEFAULTS`` overlaid by the file)."""
     try:
-        return _make_problem(kind, lambda k: values.get(k, DEFAULTS[k]))
+        return _make_problem(s)
     except ConfigError:
         raise
     except ValueError as err:
         # the problem constructors reject out-of-range values with ValueError
-        raise ConfigError(f"problem.kind = {kind}: {err}") from err
+        raise ConfigError(f"problem.kind = {s['problem.kind']}: {err}") from err
 
 
-def _make_problem(kind, get):
+def _make_problem(s):
+    kind = s["problem.kind"]
     if kind == "quadratic":
-        samples = get("problem.samples")
-        return make_quadratic(get("problem.d"), get("problem.condition"),
-                              get("problem.seed"),
+        samples = s["problem.samples"]
+        return make_quadratic(s["problem.d"], s["problem.condition"],
+                              s["problem.seed"],
                               n_samples=samples if samples > 0 else None,
-                              noise=get("problem.noise"))
+                              noise=s["problem.noise"])
     if kind == "logistic":
-        return make_logistic(get("problem.n"), get("problem.d"),
-                             get("problem.seed"), get("problem.radius"))
+        return make_logistic(s["problem.n"], s["problem.d"],
+                             s["problem.seed"], s["problem.radius"])
     if kind == "nonconvex":
-        box = get("problem.box")
-        return make_nonconvex(get("problem.d"), get("problem.seed"),
-                              get("problem.eps"), get("problem.omega"),
+        box = s["problem.box"]
+        return make_nonconvex(s["problem.d"], s["problem.seed"],
+                              s["problem.eps"], s["problem.omega"],
                               box_halfwidth=box if box > 0 else None)
     if kind == "counterexample":
         return make_counterexample_lp()
     if kind == "attack":
         model, inputs, labels = load_victim()
-        first, m = get("problem.image"), get("problem.m")
+        first, m = s["problem.image"], s["problem.m"]
         if not 0 <= first < len(inputs) or first + m > len(inputs):
             raise ConfigError("problem.image/problem.m: pinned input range "
                               f"exceeds the {len(inputs)} available inputs")
         return make_attack_problem(model, inputs[first:first + m],
                                    labels[first:first + m],
-                                   lam=get("problem.lambda"),
-                                   kappa=get("problem.kappa"),
-                                   mode=get("problem.mode"))
+                                   lam=s["problem.lambda"],
+                                   kappa=s["problem.kappa"],
+                                   mode=s["problem.mode"])
     raise ConfigError(f"problem.kind: unknown problem {kind!r}")
 
 
@@ -164,39 +162,53 @@ def build_optimizer_config(values, seed):
                           **overrides)
 
 
-def _check_minimums(values):
+def _check_point(settings):
+    """Raise ConfigError unless the resolved settings can run."""
     for key, lowest in MINIMUM.items():
-        if not values.get(key, DEFAULTS[key]) >= lowest:
+        if not settings[key] >= lowest:
             raise ConfigError(f"{key}: must be >= {lowest}")
+    problem = build_problem(settings)
+    validate_config(build_optimizer_config(settings, settings["run.base_seed"]),
+                    problem, settings["run.query_budget"],
+                    settings["run.max_iters"] or None,
+                    settings["run.record_measure"])
 
 
 def _plan(config_path, sweep):
-    """Parse a run or sweep config into its output directory, created once the
-    config checks out, and one (values, seed, label) job per grid point and
-    repeat.  Without ``sweep`` the grid is the single point of the file."""
+    """Parse a run or sweep config into its settings, output directory (made
+    once every point checks out) and one (values, settings, seed, label) job
+    per grid point and repeat; without ``sweep`` the file is the one point."""
     values = parse_config_file(config_path)
-    _check_minimums(values)
-    points = [(values, values.get("run.tag", "run"))]
+    for key in ("problem.kind", "run.query_budget", "run.outdir"):
+        if key not in values:
+            raise ConfigError(f"missing required config key: {key}")
+    base = {**DEFAULTS, **values}
+    points = [(values, base["run.tag"])]
     for param_key, grid_key in ((("sweep.param", "sweep.grid"),
                                  ("sweep.param2", "sweep.grid2")) if sweep else ()):
-        param = values.get(param_key, "")
+        param = base[param_key]
         if not param:
             continue
-        if param not in SCHEMA:
-            raise ConfigError(f"{param_key}: unknown swept key {param!r}")
-        grid = [v.strip() for v in values.get(grid_key, "").split(",") if v.strip()]
+        # the plan's own keys (job count, seeds, file names, grid) stay fixed
+        if param not in SCHEMA or param.startswith("sweep.") or param in (
+                "run.repeat", "run.base_seed", "run.tag", "run.outdir"):
+            raise ConfigError(f"{param_key}: {param!r} is not a key a sweep "
+                              "can vary")
+        grid = [v.strip() for v in base[grid_key].split(",") if v.strip()]
         if not grid:
             raise ConfigError(f"{grid_key}: empty grid for swept key {param!r}")
         points = [({**combo, param: _coerce(param, raw)},
                    f"{label}_{param.split('.')[-1]}{raw}")
                   for combo, label in points for raw in grid]
-    for combo, _ in points:
-        _check_minimums(combo)
-    outdir = Path(_require(values, "run.outdir"))
+    jobs = []
+    for combo, label in points:
+        settings = {**DEFAULTS, **combo}
+        _check_point(settings)
+        jobs += [(combo, settings, base["run.base_seed"] + r, label)
+                 for r in range(base["run.repeat"])]
+    outdir = Path(base["run.outdir"])
     outdir.mkdir(parents=True, exist_ok=True)
-    base = values.get("run.base_seed", 0)
-    return values, outdir, [(combo, base + r, label) for combo, label in points
-                            for r in range(values.get("run.repeat", 1))]
+    return base, outdir, jobs
 
 
 def _write_run(result, outdir, name):
@@ -205,15 +217,13 @@ def _write_run(result, outdir, name):
     write_envelope(result, csv_path.name, outdir / f"{name}.json")
 
 
-def _execute_one(values, seed, outdir, tag):
-    problem = build_problem(values)
-    cfg = build_optimizer_config(values, seed)
-    budget = _require(values, "run.query_budget")
-    max_iters = values.get("run.max_iters", 0) or None
-    stride = values.get("run.stride", 0) or None
-    result = run_optimizer(problem, cfg, budget, max_iters=max_iters,
-                           stride=stride,
-                           record_measure=values.get("run.record_measure", "auto"))
+def _execute_one(values, settings, seed, outdir, tag):
+    result = run_optimizer(build_problem(settings),
+                           build_optimizer_config(settings, seed),
+                           settings["run.query_budget"],
+                           max_iters=settings["run.max_iters"] or None,
+                           stride=settings["run.stride"] or None,
+                           record_measure=settings["run.record_measure"])
     # echo the file config alongside the resolved optimizer so the envelope
     # suffices for exact re-execution
     result.config = {"file": {k: values[k] for k in sorted(values)},
@@ -225,8 +235,8 @@ def _execute_one(values, seed, outdir, tag):
 def cmd_run(config_path):
     _, outdir, jobs = _plan(config_path, sweep=False)
     exit_code = 0
-    for combo, seed, tag in jobs:
-        result = _execute_one(combo, seed, outdir, tag)
+    for combo, settings, seed, tag in jobs:
+        result = _execute_one(combo, settings, seed, outdir, tag)
         status = "aborted" if result.trace.aborted else "ok"
         print(f"{tag} seed={seed}: {status}, "
               f"final_loss={result.trace.records[-1].loss:.6g}, "
@@ -239,18 +249,15 @@ def cmd_run(config_path):
 
 
 def cmd_sweep(config_path):
-    values, outdir, jobs = _plan(config_path, sweep=True)
+    base, outdir, jobs = _plan(config_path, sweep=True)
     summary = []
-    for combo, seed, label in jobs:
-        res = _execute_one(combo, seed, outdir, label)
+    for combo, settings, seed, label in jobs:
+        res = _execute_one(combo, settings, seed, outdir, label)
         summary.append({"label": label, "seed": seed,
                         "final_loss": res.trace.records[-1].loss,
                         "total_queries": res.trace.total_queries,
                         "aborted": res.trace.aborted})
-    with open(outdir / f"{values.get('run.tag', 'run')}_sweep_summary.json", "w",
-              encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(summary, outdir / f"{base['run.tag']}_sweep_summary.json")
     print(f"sweep complete: {len(jobs)} runs -> {outdir}")
     return 3 if any(row["aborted"] for row in summary) else 0
 
@@ -368,20 +375,12 @@ def run_attack_suite(mode, m, opts, budget, seed, outdir, formulation="auto",
         summary["optimizers"][opt] = {
             "runs": rows,
             "success_rate": len(succ) / len(rows),
-            "median_first_success_queries":
-                _median([r["first_success_queries"] for r in succ]),
-            "median_final_distortion_successful":
-                _median([r["final_distortion"] for r in succ]),
+            "median_first_success_queries": statistics.median(
+                [r["first_success_queries"] for r in succ]) if succ else None,
+            "median_final_distortion_successful": statistics.median(
+                [r["final_distortion"] for r in succ]) if succ else None,
         }
     return summary
-
-
-def _median(vals):
-    vals = sorted(v for v in vals if v is not None)
-    if not vals:
-        return None
-    mid = len(vals) // 2
-    return vals[mid] if len(vals) % 2 else 0.5 * (vals[mid - 1] + vals[mid])
 
 
 def _attack_text_table(summary):
@@ -402,10 +401,7 @@ def cmd_attack(args):
                                args.out, formulation=args.formulation,
                                repeat=args.repeat)
     outdir = Path(args.out)
-    with open(outdir / "attack_summary.json", "w", encoding="utf-8",
-              newline="\n") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(summary, outdir / "attack_summary.json")
     table = _attack_text_table(summary)
     (outdir / "attack_summary.txt").write_text(table, encoding="utf-8")
     print(table, end="")

@@ -83,14 +83,8 @@ class SymmetricBand:
         return bool(abs(float(np.dot(self.a, x))) <= self.b + tol)
 
     def project(self, y):
-        y = as_vector(y, self.a.shape[0])
-        t = float(np.dot(self.a, y))
-        if abs(t) <= self.b:
-            return y
-        s = 1.0 if t > 0 else -1.0
-        # the two halfspaces never both bind for b > 0: project onto the nearer
-        # hyperplane a.x = s*b
-        return y - self.a * ((t - s * self.b) / float(np.dot(self.a, self.a)))
+        # a / 1.0 is a, so this is the Euclidean projection bit for bit
+        return self.project_metric(y, 1.0)
 
     def project_metric(self, y, h):
         y = as_vector(y, self.a.shape[0])
@@ -98,6 +92,8 @@ class SymmetricBand:
         if abs(t) <= self.b:
             return y
         s = 1.0 if t > 0 else -1.0
+        # the two halfspaces never both bind for b > 0: project onto the nearer
+        # hyperplane a.x = s*b
         w = self.a / h  # H^{-1} a
         denom = float(np.dot(self.a, w))
         if denom <= 0:

@@ -27,10 +27,7 @@ class TraceRecord:
 @dataclass
 class Trace:
     records: List[TraceRecord] = field(default_factory=list)
-    final_x: object = None
     total_queries: int = 0
-    planned_iters: int = 0
-    stride: int = 1
     aborted: Optional[str] = None
     # regret bookkeeping (only filled when the problem carries a comparator)
     sampled_losses: List[float] = field(default_factory=list)
@@ -131,7 +128,13 @@ def write_envelope(result, csv_path, path):
     summary = result.summary()
     if result.measure_approx:
         summary["measure_approx"] = True
-    doc = {"config": result.config, "summary": summary, "csv_path": str(csv_path)}
+    write_json({"config": result.config, "summary": summary,
+                "csv_path": str(csv_path)}, path)
+
+
+def write_json(doc, path):
+    """Write ``doc`` as JSON (UTF-8, LF) with sorted keys, indent 1 and a
+    final newline, so equal documents give equal bytes."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -100,24 +100,17 @@ class OptConfig:
     beta1_decay: bool = False              # beta_{1,t} = beta1/t (convex-regret regime)
     euclidean_projection_override: bool = False  # divergence reproducer; logs a warning
 
-    def gamma(self):
-        """Momentum/second-moment ratio; the convergence regime needs < 1."""
-        return self.beta1 / self.beta2 if self.beta2 > 0 else math.inf
-
     def echo(self):
-        d = {
-            "algorithm": self.algorithm, "beta1": self.beta1, "beta2": self.beta2,
-            "alpha": self.alpha, "alpha_schedule": self.alpha_schedule,
-            "mu": self.estimator.mu, "mu_schedule": self.mu_schedule,
-            "v0": self.v0, "vhat0": self.vhat0, "use_vhat_max": self.use_vhat_max,
-            "b": self.estimator.b, "q": self.estimator.q,
-            "estimator_kind": self.estimator.kind,
-            "directions": self.estimator.directions,
-            "seed": self.seed, "beta1_decay": self.beta1_decay,
-            "euclidean_projection_override": self.euclidean_projection_override,
-        }
+        """Every field, with the estimator's flattened in and its ``kind``
+        written as ``estimator_kind``."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)
+             if f.name != "estimator"}
+        for f in fields(self.estimator):
+            d["estimator_kind" if f.name == "kind" else f.name] = getattr(
+                self.estimator, f.name)
         if self.beta2 > 0:
-            d["gamma"] = self.gamma()
+            # momentum/second-moment ratio; the convergence regime needs < 1
+            d["gamma"] = self.beta1 / self.beta2
         return d
 
 
@@ -130,11 +123,11 @@ def step_size(cfg, t):
                       f"{cfg.alpha_schedule!r}")
 
 
-def smoothing_at(cfg, t, d, planned_iters):
+def smoothing_at(cfg, t, d, planned):
     if cfg.mu_schedule == "constant":
         return clamp_mu(cfg.estimator.mu)
     if cfg.mu_schedule == "inverse-sqrt-Td":
-        return clamp_mu(1.0 / math.sqrt(max(planned_iters, 1) * d))
+        return clamp_mu(1.0 / math.sqrt(max(planned, 1) * d))
     if cfg.mu_schedule == "inverse-dt":
         return clamp_mu(cfg.estimator.mu / (d * t))
     raise ConfigError("optimizer.mu_schedule: unknown schedule "
@@ -201,14 +194,22 @@ def zo_scd_step(x, sparse_estimate, alpha_t):
     return x - alpha_t * sparse_estimate
 
 
-def validate_config(cfg, problem, query_budget, max_iters=None):
+def validate_config(cfg, problem, query_budget, max_iters=None,
+                    record_measure="auto"):
     """Surface configuration problems before the first iteration."""
+    if record_measure not in ("auto", "approx", "off"):
+        raise ConfigError(f"run.record_measure: unknown mode {record_measure!r}")
     row = _row(cfg.algorithm)
     if not 0.0 <= cfg.beta1 <= 1.0 or not 0.0 <= cfg.beta2 <= 1.0:
         raise ConfigError("optimizer.beta1/beta2 must lie in [0, 1]")
     if not (math.isfinite(cfg.alpha) and cfg.alpha > 0):
         raise ConfigError("optimizer.alpha must be positive and finite")
+    if not (math.isfinite(cfg.v0) and cfg.v0 >= 0):
+        raise ConfigError("optimizer.v0 must be nonnegative and finite")
     cfg.estimator.validate()
+    # both raise ConfigError on an unknown schedule
+    step_size(cfg, 1)
+    smoothing_at(cfg, 1, problem.objective.dim, 1)
 
     if row.step == "adaptive" and not cfg.euclidean_projection_override:
         if cfg.vhat0 <= 0 and cfg.use_vhat_max:
@@ -237,9 +238,6 @@ def validate_config(cfg, problem, query_budget, max_iters=None):
     if cost > 0 and query_budget < cost:
         raise ConfigError(f"run.query_budget: budget {query_budget} is below one "
                           f"iteration's cost {cost}")
-    if cfg.euclidean_projection_override:
-        log.warning("Euclidean projection override is active: this configuration "
-                    "reproduces the non-convergence counterexample")
     return cost
 
 
@@ -300,12 +298,13 @@ def run_optimizer(problem, cfg, query_budget, max_iters=None, stride=None,
     stream and the oracle's counter starts at zero.  Numeric blow-ups abort the
     run with the partial trace retained and flagged.
     """
-    if record_measure not in ("auto", "approx", "off"):
-        raise ConfigError(f"run.record_measure: unknown mode {record_measure!r}")
     obj = problem.objective
     cset = problem.constraint
     d = obj.dim
-    cost = validate_config(cfg, problem, query_budget, max_iters)
+    cost = validate_config(cfg, problem, query_budget, max_iters, record_measure)
+    if cfg.euclidean_projection_override:
+        log.warning("Euclidean projection override is active: this configuration "
+                    "reproduces the non-convergence counterexample")
     row = METHODS[cfg.algorithm]
     rng = RngStream(cfg.seed)
 
@@ -319,7 +318,7 @@ def run_optimizer(problem, cfg, query_budget, max_iters=None, stride=None,
     t0 = time.perf_counter()
     x = np.array(problem.x0, dtype=np.float64)
     state = AdaMMState.fresh(d, cfg.v0, cfg.vhat0)
-    trace = Trace(planned_iters=planned, stride=stride)
+    trace = Trace()
     if keep_iterates:
         trace.iterates = [x.copy()]
     track_regret = problem.comparator is not None
@@ -412,7 +411,6 @@ def run_optimizer(problem, cfg, query_budget, max_iters=None, stride=None,
         measure_approx = measure_approx or approx
         trace.records.append(rec)
 
-    trace.final_x = x
     trace.total_queries = used()
     random_iter = 1 + int(rng.uniform() * t) if t > 0 else 0
     return RunResult(trace=trace, final_x=x, random_iter=random_iter,

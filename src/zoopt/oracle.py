@@ -48,10 +48,6 @@ class StochasticObjective:
     def queries(self):
         return self._queries
 
-    @property
-    def deterministic(self):
-        return self.n_samples is None
-
     def _check_sample(self, xi):
         hi = 1 if self.n_samples is None else self.n_samples
         if not 0 <= xi < hi:
@@ -155,7 +151,6 @@ class ProblemMetadata:
 
     lip_const: Optional[float] = None          # L_c, Lipschitz constant of f
     grad_lip: Optional[float] = None           # L_g, Lipschitz constant of grad f
-    grad_inf_bound: Optional[float] = None     # sup-norm bound on stochastic gradients
     f_star: Optional[float] = None
     gradient: Optional[Callable] = None        # x -> grad of full loss
     sample_gradient: Optional[Callable] = None  # (x, xi) -> grad of f(.; xi)

@@ -63,7 +63,6 @@ def make_counterexample_lp():
     meta = ProblemMetadata(
         lip_const=math.sqrt(5.0),
         grad_lip=0.0,
-        grad_inf_bound=2.0,
         gradient=lambda x: grad.copy(),
     )
     return ProblemSpec(obj, SymmetricBand([1.0, 1.0], 1.0), meta,
@@ -157,7 +156,6 @@ def make_logistic(n, d, seed=0, radius=5.0):
     meta = ProblemMetadata(
         lip_const=float(row_norms.max()),
         grad_lip=0.25 * float((row_norms ** 2).max()),
-        grad_inf_bound=float(np.abs(feats).max()),
         gradient=full_grad,
         sample_gradient=sample_grad,
         extra={"features": feats, "labels": labels, "planted": planted},
@@ -228,13 +226,6 @@ class TinyMlp:
         """
         hidden = np.tanh(np.matmul(self.w1, X[:, :, None])[:, :, 0] + self.b1)
         return np.matmul(self.w2, hidden[:, :, None])[:, :, 0] + self.b2
-
-    def to_json_dict(self):
-        layers = []
-        for arr in (self.w1, self.b1, self.w2, self.b2):
-            layers.append({"shape": list(arr.shape),
-                           "data": [float(v) for v in arr.reshape(-1)]})
-        return {"layers": layers}
 
     @classmethod
     def from_json_dict(cls, doc):
@@ -406,16 +397,6 @@ def generate_victim(seed=VICTIM_SEED):
                 inputs = by_class[pred]
                 return model, inputs, [pred] * VICTIM_N_INPUTS
     raise RuntimeError("victim input search exhausted its candidate budget")
-
-
-def save_victim(path, model, inputs, labels, seed=VICTIM_SEED):
-    doc = model.to_json_dict()
-    doc["inputs"] = [[float(v) for v in im] for im in inputs]
-    doc["labels"] = [int(t) for t in labels]
-    doc["seed"] = int(seed)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
 
 
 def load_victim():

@@ -81,9 +81,20 @@ def unbiasedness_check(seed=0, d=10, n_estimates=200_000, mu=0.01):
                  note=f"n={n_estimates}")]
 
 
-def _total_variance(ests):
-    centered = ests - ests.mean(axis=0)
-    return float((centered * centered).sum() / (ests.shape[0] - 1))
+def _variance_halving(axis, values, n_estimates, d, estimate):
+    """Total variance of ``n_estimates`` draws of ``estimate(v)`` per v in
+    ``values``; each step passes when the ratio is within 25% of 1/2."""
+    variances = []
+    for v in values:
+        ests = np.empty((n_estimates, d))
+        for k in range(n_estimates):
+            ests[k] = estimate(v)
+        centered = ests - ests.mean(axis=0)
+        variances.append(float((centered * centered).sum() / (n_estimates - 1)))
+    ratios = [hi / lo for lo, hi in zip(variances, variances[1:])]
+    return [PropertyResult(f"estimators.variance_halving_{axis}{a}_to_{axis}{b}",
+                           0.375 <= r <= 0.625, r, 0.625, note="target 0.5 +/- 25%")
+            for a, b, r in zip(values, values[1:], ratios)]
 
 
 def variance_scaling_q(seed=0, d=50, n_estimates=10_000, mu=0.01,
@@ -93,19 +104,9 @@ def variance_scaling_q(seed=0, d=50, n_estimates=10_000, mu=0.01,
     prob = make_quadratic(d, condition=3.0, seed=seed + 2)
     rng = RngStream(seed)
     x = rng.uniform(d) * 2.0 - 1.0
-    variances = []
-    for q in qs:
-        ests = np.empty((n_estimates, d))
-        for k in range(n_estimates):
-            ests[k] = averaged_estimator(prob.objective, x, mu, 1, q, rng)
-        variances.append(_total_variance(ests))
-    out = []
-    for i in range(len(qs) - 1):
-        ratio = variances[i + 1] / variances[i]
-        out.append(PropertyResult(
-            f"estimators.variance_halving_q{qs[i]}_to_q{qs[i+1]}",
-            0.375 <= ratio <= 0.625, ratio, 0.625, note="target 0.5 +/- 25%"))
-    return out
+    return _variance_halving(
+        "q", qs, n_estimates, d,
+        lambda q: averaged_estimator(prob.objective, x, mu, 1, q, rng))
 
 
 def variance_scaling_b(seed=0, d=10, n_samples=64, n_estimates=2_500, mu=0.01,
@@ -119,19 +120,9 @@ def variance_scaling_b(seed=0, d=10, n_samples=64, n_estimates=2_500, mu=0.01,
                           noise=3.0)
     rng = RngStream(seed)
     x = rng.uniform(d) * 2.0 - 1.0
-    variances = []
-    for b in bs:
-        ests = np.empty((n_estimates, d))
-        for k in range(n_estimates):
-            ests[k] = averaged_estimator(prob.objective, x, mu, b, q, rng)
-        variances.append(_total_variance(ests))
-    out = []
-    for i in range(len(bs) - 1):
-        ratio = variances[i + 1] / variances[i]
-        out.append(PropertyResult(
-            f"estimators.variance_halving_b{bs[i]}_to_b{bs[i+1]}",
-            0.375 <= ratio <= 0.625, ratio, 0.625, note="target 0.5 +/- 25%"))
-    return out
+    return _variance_halving(
+        "b", bs, n_estimates, d,
+        lambda b: averaged_estimator(prob.objective, x, mu, b, q, rng))
 
 
 def query_accounting_check(seed=0, d=6):

@@ -79,6 +79,10 @@ def test_envelope_contains_config_echo(tmp_path):
     assert doc["config"]["file"]["problem.kind"] == "quadratic"
     assert doc["config"]["file"]["run.query_budget"] == 300
     assert doc["summary"]["total_queries"] == 300
+    # every field of both configs, with no hand-kept list behind it
+    names = {f.name for cls in (OptConfig, EstimatorConfig) for f in fields(cls)}
+    assert set(doc["config"]["optimizer"]) == (
+        names - {"estimator", "kind"} | {"estimator_kind", "gamma"})
 
 
 def test_prop1_passes(capsys):
@@ -215,6 +219,16 @@ INVALID = {
     "problem.kind = nonconvex\nproblem.box = -0.5": "problem.box",
     "problem.kind = attack\nproblem.m = -1": "problem.m",
     "problem.kind = attack\nproblem.m = 0": "problem.m",
+    "problem.kind = logistic\nproblem.radius = nan": "problem.radius",
+    "problem.condition = inf": "problem.condition",
+    "problem.condition = nan": "problem.condition",
+    "problem.kind = nonconvex\nproblem.eps = nan": "problem.eps",
+    "problem.kind = attack\nproblem.kappa = nan": "problem.kappa",
+    "optimizer.v0 = nan": "optimizer.v0",
+    "optimizer.v0 = -1\noptimizer.use_vhat_max = false": "optimizer.v0",
+    "optimizer.mu_schedule = bogus": "optimizer.mu_schedule",
+    "optimizer.alpha = -1": "optimizer.alpha",
+    "run.record_measure = bogus": "run.record_measure",
 }
 
 
@@ -229,7 +243,27 @@ def test_non_finite_or_invalid_settings_exit_2(tmp_path, capsys, line):
     err = capsys.readouterr().err
     assert "configuration error" in err and "duplicate" not in err
     assert INVALID[line] in err
-    assert not list((tmp_path / "out").glob("*"))
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("param", ["run.repeat", "run.base_seed", "run.tag",
+                                   "run.outdir", "sweep.grid2"])
+def test_sweeping_a_plan_key_exits_2(tmp_path, capsys, param):
+    cfg = write_cfg(tmp_path, QUAD_CFG + f"sweep.param = {param}\n"
+                    "sweep.grid = 3,5\n")
+    assert main(["sweep", str(cfg)]) == 2
+    assert param in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("param, grid", [("optimizer.alpha", "0.1,-1"),
+                                         ("problem.d", "4,0")])
+def test_sweep_checks_every_point_before_writing(tmp_path, capsys, param, grid):
+    cfg = write_cfg(tmp_path, QUAD_CFG + f"sweep.param = {param}\n"
+                    f"sweep.grid = {grid}\n")
+    assert main(["sweep", str(cfg)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_attack_repeat_0_exits_2(tmp_path, capsys):

@@ -9,8 +9,9 @@ from zoopt import numkit
 from zoopt.numkit import RngStream, sample_unit_sphere
 from zoopt.optimizers import (METHODS, AdaMMState, _approx_full_gradient,
                               adamm_direction, default_config, run_optimizer,
-                              smoothing_at, zo_adamm_step, zo_scd_step,
-                              zo_sgd_step, zo_signsgd_step, zo_smd_step)
+                              smoothing_at, validate_config, zo_adamm_step,
+                              zo_scd_step, zo_sgd_step, zo_signsgd_step,
+                              zo_smd_step)
 from zoopt.problems import (load_victim, make_attack_problem,
                             make_counterexample_lp, make_logistic,
                             make_quadratic)
@@ -138,6 +139,13 @@ def test_run_budget_too_small_errors():
     cfg = default_config("zo-adamm", b=1, q=10)
     with pytest.raises(ConfigError):
         run_optimizer(prob, cfg, 10)  # one iteration needs 11 queries
+
+
+@pytest.mark.parametrize("key", ["alpha_schedule", "mu_schedule"])
+def test_validate_config_rejects_unknown_schedules(key):
+    cfg = default_config("zo-adamm", **{key: "bogus"})
+    with pytest.raises(ConfigError, match=key):
+        validate_config(cfg, make_quadratic(4), 110)
 
 
 def test_run_deterministic():
