@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConfigError, NumericError
 from .geometry import vi_violation
 from .metrics import first_success, serialize_csv, write_envelope, write_json
-from .estimators import EstimatorConfig
+from .estimators import EstimatorConfig, query_cost
 from .optimizers import (METHODS, OptConfig, default_config, run_optimizer,
                          validate_config)
 from .problems import (load_victim, make_attack_problem, make_counterexample_lp,
@@ -341,14 +341,27 @@ def run_attack_suite(mode, m, opts, budget, seed, outdir, formulation="auto",
         raise ConfigError("--repeat must be >= 1")
     if workers != 1:
         raise ConfigError(f"workers: jobs run serially, got {workers}")
+    targets = ([(i, slice(i, i + 1), f"img{i:02d}") for i in range(m)]
+               if mode == "per-image" else [(None, slice(0, m), "universal")])
+    # each method's first job is built and checked here; its other jobs
+    # share the dimension and the kind of constraint
+    first = {}
     for opt in opts:
         if opt not in METHODS:
             raise ConfigError(f"--opt: unknown optimizer {opt!r}")
+        span = targets[0][1]
+        problem = make_attack_problem(model, inputs[span], labels[span],
+                                      mode=_attack_formulation(opt, formulation))
+        cfg = _attack_config(opt, seed)
+        cost = query_cost(cfg.estimator, problem.objective.dim)
+        if budget < cost:
+            raise ConfigError(f"--budget: {budget} is below one {opt} "
+                              f"iteration's cost {cost}")
+        validate_config(cfg, problem, budget)
+        first[opt] = problem
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    targets = ([(i, slice(i, i + 1), f"img{i:02d}") for i in range(m)]
-               if mode == "per-image" else [(None, slice(0, m), "universal")])
     summary = {"mode": mode, "m": m, "budget": budget, "seeds":
                list(range(seed, seed + repeat)), "optimizers": {}}
     for opt in opts:
@@ -356,8 +369,8 @@ def run_attack_suite(mode, m, opts, budget, seed, outdir, formulation="auto",
         rows = []
         for run_seed in range(seed, seed + repeat):
             for image, span, label in targets:
-                problem = make_attack_problem(model, inputs[span], labels[span],
-                                              mode=form)
+                problem = first.pop(opt, None) or make_attack_problem(
+                    model, inputs[span], labels[span], mode=form)
                 res = run_optimizer(problem, _attack_config(opt, run_seed), budget)
                 _write_run(res, outdir, f"{opt}_{label}_seed{run_seed}")
                 fs = first_success(res.trace.records)

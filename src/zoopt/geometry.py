@@ -3,16 +3,22 @@ the gradient mapping, and the weighted convergence measure.
 
 The weighted projection minimizes ||diag(h)^(1/2) (x - y)||^2 over the set for a
 strictly positive diagonal weight h.  All projections are exact closed forms
-except the weighted L2-ball case, which reduces to a monotone scalar root-find.
+except the weighted L2-ball case, which reduces to a monotone scalar root-find
+for the KKT multiplier.  Its result is that of a bisection on the multiplier,
+found with the same bits by a Newton guess, a search over the doubles' bit
+patterns and a replay of the bisection; the bits match because the rounded
+radius never increases with the multiplier (see ``L2Ball.project_metric``).
 """
 
 import math
+import struct
 
 import numpy as np
 
 from .numkit import as_vector
 
 FEAS_TOL = 1e-12
+_EPS = 2.0 ** -52
 
 
 class DiagonalMetric:
@@ -127,37 +133,148 @@ class L2Ball:
     def project_metric(self, y, h):
         """Weighted projection via the KKT multiplier.
 
-        Stationarity gives x(lam) = (h*y + lam*c) / (h + lam); the residual
-        ||x(lam) - c||^2 - r^2 is strictly decreasing in lam >= 0, so the root
-        is found by bisection to full double precision.
+        Stationarity gives x(lam) = c + h*(y - c) / (h + lam) for the
+        multiplier lam >= 0 that puts x(lam) on the sphere.  The multiplier
+        is the ``hi`` that bisection on [0, 1] returns, widening ``hi`` by
+        doubling while x(hi) is outside, halving at most 200 times and
+        stopping at adjacent doubles.  It is found without bisecting:
+        ``_first_inside`` finds the smallest double T at which the rounded
+        radius_sq(lam) = ||h*(y - c) / (h + lam)||^2 is <= r^2, and
+        ``_bisection_hi`` replays the bisection with ``mid < T`` for its
+        test.  The two agree bit for bit because the rounded radius_sq is
+        non-increasing over the doubles, so ``radius_sq(mid) > r*r`` holds
+        exactly when ``mid < T``.
         """
         y = as_vector(y, self.center.shape[0])
         c, r = self.center, self.radius
         diff = y - c
         if math.sqrt(float(np.dot(diff, diff))) <= r:
             return y
-
-        def radius_sq(lam):
-            v = h * diff / (h + lam)
-            return float(np.dot(v, v))
-
-        lo, hi = 0.0, 1.0
-        while radius_sq(hi) > r * r:
-            hi *= 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if radius_sq(mid) > r * r:
-                lo = mid
-            else:
-                hi = mid
+        hd = h * diff
+        hi = _bisection_hi(_first_inside(hd, h, r))
         # hi side is (weakly) inside the ball, so the result is feasible and
         # a second projection returns it unchanged
-        return c + h * diff / (h + hi)
+        return c + hd / (h + hi)
 
     def __repr__(self):
         return f"L2Ball(center={self.center}, radius={self.radius})"
+
+
+_DOUBLE = struct.Struct("<d")
+_INT64 = struct.Struct("<q")
+
+
+def _bits(x):
+    """The bit pattern of a double >= 0 as an int; inf included, these
+    order as the doubles do."""
+    return _INT64.unpack(_DOUBLE.pack(x))[0]
+
+
+def _double(k):
+    return _DOUBLE.unpack(_INT64.pack(k))[0]
+
+
+_INF_BITS = _bits(math.inf)
+# a cap: from 0 the steps reach the rounding blur in about three
+_NEWTON_STEPS = 8
+
+
+def _first_inside(hd, h, r):
+    """The smallest double lam > 0 with radius_sq(lam) <= r*r, where
+    radius_sq(lam) = float(np.dot(v, v)) for v = hd / (h + lam) and hd = h*diff.
+
+    Every summand of the dot product is non-negative and each rounded
+    operation is monotone, so radius_sq is non-increasing over the doubles
+    and the answer is the first double of a monotone predicate.  Newton's
+    method on phi(lam) = 1/||v(lam)|| - 1/r from 0 guesses it (phi is
+    increasing and concave, so the steps do not overshoot; Moré & Sorensen,
+    1983), then a search over the doubles' bit patterns finds it: widening
+    from the guess by doubling, then bisecting.  radius_sq(inf) is 0 or
+    nan, so the answer is at most inf; with a nan weight or offset it is
+    nan everywhere and the answer is the smallest double.
+    """
+    r2 = r * r
+
+    def outside(lam):
+        v = hd / (h + lam)
+        return float(np.dot(v, v)) > r2
+
+    # bit patterns with outside(lo) and not outside(hi); lo = 0 stands for
+    # lam = 0, which the bisection never evaluates
+    lo, hi = 0, _INF_BITS
+    guess, width = _bits(1.0), 1
+    lam = 0.0
+    for _ in range(_NEWTON_STEPS):
+        den = h + lam
+        v = hd / den
+        s2 = float(np.dot(v, v))
+        if lam > 0:
+            # s2 is radius_sq(lam) itself, so it bounds the answer for free
+            if s2 > r2:
+                lo = max(lo, _bits(lam))
+            else:
+                hi = min(hi, _bits(lam))
+        w = float(np.dot(v, v / den))   # -d(s2)/dlam / 2
+        if not w > 0:
+            break
+        step = s2 * (math.sqrt(s2) / r - 1.0) / w
+        if not 0.0 < lam + step < math.inf:
+            break
+        lam += step
+        # one rounding of s2 (s2 * eps) moves the root by this much; the
+        # search starts widening at that many doubles
+        blur = s2 * _EPS / (2.0 * w)
+        guess = _bits(lam)
+        width = max(1, int(min(blur / math.ulp(lam), 2.0 ** 62)))
+        # this close, the bisection steps another Newton step would save
+        # cost less than it does
+        if abs(step) <= 64.0 * blur:
+            break
+
+    k = min(max(guess, lo), hi)
+    if k == lo or (k != hi and outside(_double(k))):
+        lo = k
+        while k + width < hi:
+            if not outside(_double(k + width)):
+                hi = k + width
+                break
+            lo = k + width
+            width *= 2
+    else:
+        hi = k
+        while k - width > lo:
+            if outside(_double(k - width)):
+                lo = k - width
+                break
+            hi = k - width
+            width *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if outside(_double(mid)):
+            lo = mid
+        else:
+            hi = mid
+    return _double(hi)
+
+
+def _bisection_hi(first_inside):
+    """The ``hi`` of the bisection that tests ``radius_sq(mid) > r*r``,
+    given the first double at which that test is false: its own control
+    flow, with ``mid < first_inside`` for the test.  That includes the
+    200-step cap, which stops short of adjacent doubles when the root is
+    below about 2**-148 of the starting ``hi``."""
+    lo, hi = 0.0, 1.0
+    while hi < first_inside:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if mid < first_inside:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def gradient_mapping(cset, metric, x_minus, g, omega):

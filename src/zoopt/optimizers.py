@@ -158,9 +158,11 @@ def zo_adamm_step(state, x, g_hat, cfg, cset):
     else:
         h = np.sqrt(v_hat)
         if np.any(h <= 0):
-            raise ArithmeticError(
-                "weighted projection needs a positive metric; set vhat0 > 0 "
-                "or enable use_vhat_max")
+            # validate_config rules out v0 = 0 here, so v reached 0 during
+            # the run: a zero estimate with beta2 = 0, or an underflow
+            raise NumericError("weighted projection needs a positive metric, "
+                               "but a coordinate of v is 0; enable "
+                               "use_vhat_max with vhat0 > 0", x=x, iteration=t)
         x_new = cset.project_metric(y, h)
     return new_state, x_new
 
@@ -215,6 +217,12 @@ def validate_config(cfg, problem, query_budget, max_iters=None,
         if cfg.vhat0 <= 0 and cfg.use_vhat_max:
             raise ConfigError("optimizer.vhat0 must be positive for the "
                               "weighted projection")
+        if (cfg.v0 == 0 and not cfg.use_vhat_max
+                and not isinstance(problem.constraint, Unconstrained)):
+            # v itself weights the projection, and a coordinate no estimate
+            # touches stays 0
+            raise ConfigError("optimizer.v0 must be positive for the weighted "
+                              "projection when use_vhat_max is false")
     if not row.projected and not isinstance(problem.constraint, Unconstrained):
         raise ConfigError(f"optimizer.algorithm: {cfg.algorithm} handles "
                           "unconstrained problems only")

@@ -167,6 +167,34 @@ run.tag = blow
     assert doc["summary"]["aborted"]
 
 
+def test_zero_second_moment_exits_3_with_partial_outputs(tmp_path, capsys):
+    body = """
+problem.kind = logistic
+optimizer.kind = coordinate
+optimizer.q = 2
+optimizer.beta2 = 0
+optimizer.use_vhat_max = false
+run.query_budget = 200
+run.tag = flat
+"""
+    assert main(["run", str(write_cfg(tmp_path, body))]) == 3
+    assert "positive metric" in capsys.readouterr().err
+    rows = (tmp_path / "out" / "flat_seed0.csv").read_text().splitlines()
+    assert len(rows) == 2  # header and the record before the first step
+    doc = json.loads((tmp_path / "out" / "flat_seed0.json").read_text())
+    assert "positive metric" in doc["summary"]["aborted"]
+
+
+def test_attack_checks_every_budget_before_writing(tmp_path, capsys):
+    # one zo-adamm iteration costs 11 queries and one zo-scd iteration 20
+    out = tmp_path / "att"
+    assert main(["attack", "--m", "1", "--opt", "zo-adamm,zo-scd",
+                 "--budget", "15", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--budget" in err and "zo-scd" in err
+    assert not out.exists()
+
+
 def test_sweep_points_match_single_runs(tmp_path):
     body = QUAD_CFG.replace("run.repeat = 2", "run.repeat = 1")
     sweep = write_cfg(tmp_path, body + """
@@ -229,6 +257,8 @@ INVALID = {
     "optimizer.mu_schedule = bogus": "optimizer.mu_schedule",
     "optimizer.alpha = -1": "optimizer.alpha",
     "run.record_measure = bogus": "run.record_measure",
+    "problem.kind = logistic\noptimizer.kind = coordinate\n"
+    "optimizer.v0 = 0\noptimizer.use_vhat_max = false": "optimizer.v0",
 }
 
 

@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
+from zoopt import geometry
+from zoopt.errors import NumericError
 from zoopt.geometry import (Box, DiagonalMetric, L2Ball, SymmetricBand,
                             Unconstrained, gradient_mapping,
                             mahalanobis_measure, vi_violation)
-from zoopt.numkit import RngStream
+from zoopt.numkit import RngStream, check_finite
+from zoopt.optimizers import AdaMMState, default_config, zo_adamm_step
 
 BAND = SymmetricBand([1.0, 1.0], 1.0)
 
@@ -154,3 +159,122 @@ def test_invalid_sets():
         L2Ball([0.0], -1.0)
     with pytest.raises(ValueError):
         DiagonalMetric([1.0, 0.0])
+
+
+def _bisection_projection(ball, y, h):
+    """``L2Ball.project_metric`` as first written: bisection on the KKT
+    multiplier, kept as the oracle for the search that replaced it."""
+    c, r = ball.center, ball.radius
+    diff = y - c
+    if math.sqrt(float(np.dot(diff, diff))) <= r:
+        return y
+
+    def radius_sq(lam):
+        v = h * diff / (h + lam)
+        return float(np.dot(v, v))
+
+    lo, hi = 0.0, 1.0
+    while radius_sq(hi) > r * r:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if radius_sq(mid) > r * r:
+            lo = mid
+        else:
+            hi = mid
+    return c + h * diff / (h + hi)
+
+
+def _assert_matches_bisection(center, radius, y, h):
+    ball = L2Ball(center, radius)
+    y = np.asarray(y, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        want = _bisection_projection(ball, y, h)
+        got = ball.project_metric(y, h)
+    assert np.array_equal(got, want, equal_nan=True), (got, want)
+    return got
+
+
+def test_weighted_ball_projection_matches_bisection_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.given(data=st.data())
+    def check(data):
+        d = data.draw(st.integers(1, 40), label="d")
+        vec = st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)
+        log_h = data.draw(st.lists(st.floats(-6.0, 3.0), min_size=d,
+                                   max_size=d), label="log10 h")
+        h = 10.0 ** np.array(log_h)
+        if data.draw(st.booleans(), label="an inf weight"):
+            h[data.draw(st.integers(0, d - 1), label="at")] = math.inf
+        center = 10.0 * np.array(data.draw(vec, label="center"))
+        u = np.array(data.draw(vec.filter(lambda v: math.hypot(*v) > 0.1),
+                               label="direction"))
+        radius = 10.0 ** data.draw(st.floats(-3.0, 3.0), label="log10 r")
+        offset = data.draw(st.one_of(
+            st.integers(1, 64).map(lambda n: n * math.ulp(radius)),
+            st.floats(-15.0, 8.0).map(lambda e: radius * 10.0 ** e)),
+            label="offset")
+        y = center + u * ((radius + offset) / float(np.linalg.norm(u)))
+        _assert_matches_bisection(center, radius, y, h)
+
+    check()
+
+
+@pytest.mark.parametrize("h", [1e-40, 1e-60, 1e-120, 1e-250])
+def test_weighted_ball_projection_under_the_step_cap(h):
+    # a weight this small puts the multiplier below 2**-148: the bisection
+    # stops on its 200-step cap before adjacent doubles, and the result keeps
+    # that stop
+    center, radius = np.array([0.3, -0.2]), 0.5
+    hw = np.array([h, 2.0 * h])
+    for n in (1, 3, 1000):
+        y = center + np.array([0.6, 0.8]) * (radius + n * math.ulp(radius))
+        _assert_matches_bisection(center, radius, y, hw)
+    diff = y - center
+    first = geometry._first_inside(hw * diff, hw, radius)
+    assert 0.0 < first < 2.0 ** -148
+    assert geometry._bisection_hi(first) != first
+
+
+def test_weighted_ball_projection_matches_bisection_on_non_finite_input():
+    center, radius = np.zeros(3), 1.0
+    # h * diff overflows: the bisection doubles hi to inf
+    got = _assert_matches_bisection(center, radius, [1e200, 0.5, 0.0],
+                                    np.array([1e200, 1.0, 1.0]))
+    assert np.isnan(got[0])
+    # a nan offset is nan at every multiplier
+    _assert_matches_bisection(center, radius, [math.nan, 2.0, 0.0],
+                              np.ones(3))
+    # a scalar weight
+    _assert_matches_bisection(center, radius, [3.0, 4.0, 0.0], 2.5)
+
+
+def test_inf_weight_projection_gives_the_iterate_the_run_aborts_on():
+    # g**2 overflows v_hat to inf in coordinate 0, so h = inf there: the
+    # rounded radius is nan at every multiplier, the bisection's hi halves
+    # down to 2**-200 and the projection is nan, which check_finite rejects
+    ball = L2Ball(np.zeros(3), 0.5)
+    cfg = default_config("zo-adamm", alpha=0.1, alpha_schedule="constant")
+    x = np.array([0.5, 0.0, 0.0])
+    g = np.array([1e200, -1.0, 2.0])
+    with np.errstate(all="ignore"):
+        state, x_new = zo_adamm_step(AdaMMState.fresh(3, 1e-5, 1e-5), x, g,
+                                     cfg, ball)
+    h = np.sqrt(state.v_hat)
+    assert math.isinf(h[0])
+    y = x - 0.1 * state.m / h
+    assert float(np.linalg.norm(y)) > ball.radius
+    with np.errstate(all="ignore"):
+        want = _bisection_projection(ball, y, h)
+        diff = y - ball.center
+        first = geometry._first_inside(h * diff, h, ball.radius)
+    assert np.array_equal(x_new, want, equal_nan=True)
+    assert np.isnan(x_new[0])
+    assert geometry._bisection_hi(first) == 2.0 ** -200
+    with pytest.raises(NumericError, match="non-finite value in iterate"):
+        check_finite(x_new, "iterate")

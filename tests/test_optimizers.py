@@ -278,6 +278,26 @@ def test_numeric_abort_keeps_partial_trace():
     assert len(res.trace.records) >= 1
 
 
+def test_zero_v0_without_vhat_max_is_rejected_only_when_projected():
+    cfg = default_config("zo-adamm", kind="coordinate", q=2, v0=0.0,
+                         use_vhat_max=False)
+    with pytest.raises(ConfigError, match="optimizer.v0"):
+        validate_config(cfg, make_logistic(20, 5, seed=0, radius=0.5), 200)
+    # no weighted projection, so a zero coordinate of v only stalls it
+    validate_config(cfg, make_quadratic(5), 200)
+
+
+def test_second_moment_reaching_zero_aborts_the_run():
+    # beta2 = 0 makes v the last squared estimate, which is 0 on the
+    # coordinates the estimate skips
+    cfg = default_config("zo-adamm", kind="coordinate", q=2, beta2=0.0,
+                         use_vhat_max=False)
+    res = run_optimizer(make_logistic(20, 5, seed=0, radius=0.5), cfg, 200)
+    assert "positive metric" in res.trace.aborted
+    assert "(iteration 1)" in res.trace.aborted
+    assert [rec.iter for rec in res.trace.records] == [0]
+
+
 def test_analytic_estimator_needs_max_iters_and_gradient():
     prob = make_quadratic(4, seed=11)
     cfg = default_config("zo-adamm", kind="analytic")
