@@ -183,7 +183,11 @@ def _plan(config_path, sweep):
         if key not in values:
             raise ConfigError(f"missing required config key: {key}")
     base = {**DEFAULTS, **values}
-    points = [(values, base["run.tag"])]
+    # the tag starts every output file name, so it must stay one component
+    tag = base["run.tag"]
+    if tag in ("", ".", "..") or any(c in tag for c in "/\\\0"):
+        raise ConfigError(f"run.tag: {tag!r} is not a plain file name")
+    points = [(values, tag)]
     for param_key, grid_key in ((("sweep.param", "sweep.grid"),
                                  ("sweep.param2", "sweep.grid2")) if sweep else ()):
         param = base[param_key]
@@ -349,9 +353,13 @@ def run_attack_suite(mode, m, opts, budget, seed, outdir, formulation="auto",
     for opt in opts:
         if opt not in METHODS:
             raise ConfigError(f"--opt: unknown optimizer {opt!r}")
+        form = _attack_formulation(opt, formulation)
+        if form == "constrained" and not METHODS[opt].projected:
+            raise ConfigError(f"--opt/--formulation: {opt} handles the "
+                              "unconstrained formulation only")
         span = targets[0][1]
         problem = make_attack_problem(model, inputs[span], labels[span],
-                                      mode=_attack_formulation(opt, formulation))
+                                      mode=form)
         cfg = _attack_config(opt, seed)
         cost = query_cost(cfg.estimator, problem.objective.dim)
         if budget < cost:

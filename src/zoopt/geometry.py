@@ -3,11 +3,10 @@ the gradient mapping, and the weighted convergence measure.
 
 The weighted projection minimizes ||diag(h)^(1/2) (x - y)||^2 over the set for a
 strictly positive diagonal weight h.  All projections are exact closed forms
-except the weighted L2-ball case, which reduces to a monotone scalar root-find
-for the KKT multiplier.  Its result is that of a bisection on the multiplier,
-found with the same bits by a Newton guess, a search over the doubles' bit
-patterns and a replay of the bisection; the bits match because the rounded
-radius never increases with the multiplier (see ``L2Ball.project_metric``).
+except the weighted L2-ball case, whose KKT multiplier is the root of a monotone
+scalar equation.  Its multiplier is the first double at which the rounded
+radius is inside the ball, found by a Newton guess and a search over the
+doubles' bit patterns (see ``L2Ball.project_metric``).
 """
 
 import math
@@ -135,15 +134,11 @@ class L2Ball:
 
         Stationarity gives x(lam) = c + h*(y - c) / (h + lam) for the
         multiplier lam >= 0 that puts x(lam) on the sphere.  The multiplier
-        is the ``hi`` that bisection on [0, 1] returns, widening ``hi`` by
-        doubling while x(hi) is outside, halving at most 200 times and
-        stopping at adjacent doubles.  It is found without bisecting:
-        ``_first_inside`` finds the smallest double T at which the rounded
-        radius_sq(lam) = ||h*(y - c) / (h + lam)||^2 is <= r^2, and
-        ``_bisection_hi`` replays the bisection with ``mid < T`` for its
-        test.  The two agree bit for bit because the rounded radius_sq is
-        non-increasing over the doubles, so ``radius_sq(mid) > r*r`` holds
-        exactly when ``mid < T``.
+        used is T, the first double at which the rounded radius_sq(lam) =
+        ||h*(y - c) / (h + lam)||^2 is <= r^2 (``_first_inside``): x(T) is
+        inside the ball and no smaller double is.  There is no bisection and
+        no step cap, so scaling every weight by one constant scales T with it
+        and moves x(T) by rounding only, however small the weights.
         """
         y = as_vector(y, self.center.shape[0])
         c, r = self.center, self.radius
@@ -151,10 +146,9 @@ class L2Ball:
         if math.sqrt(float(np.dot(diff, diff))) <= r:
             return y
         hd = h * diff
-        hi = _bisection_hi(_first_inside(hd, h, r))
-        # hi side is (weakly) inside the ball, so the result is feasible and
-        # a second projection returns it unchanged
-        return c + hd / (h + hi)
+        # x(T) is (weakly) inside the ball, so the result is feasible and a
+        # second projection returns it unchanged
+        return c + hd / (h + _first_inside(hd, h, r))
 
     def __repr__(self):
         return f"L2Ball(center={self.center}, radius={self.radius})"
@@ -200,7 +194,7 @@ def _first_inside(hd, h, r):
         return float(np.dot(v, v)) > r2
 
     # bit patterns with outside(lo) and not outside(hi); lo = 0 stands for
-    # lam = 0, which the bisection never evaluates
+    # lam = 0, where y is outside, and is never evaluated
     lo, hi = 0, _INF_BITS
     guess, width = _bits(1.0), 1
     lam = 0.0
@@ -226,7 +220,7 @@ def _first_inside(hd, h, r):
         blur = s2 * _EPS / (2.0 * w)
         guess = _bits(lam)
         width = max(1, int(min(blur / math.ulp(lam), 2.0 ** 62)))
-        # this close, the bisection steps another Newton step would save
+        # this close, the search steps another Newton step would save
         # cost less than it does
         if abs(step) <= 64.0 * blur:
             break
@@ -255,26 +249,6 @@ def _first_inside(hd, h, r):
         else:
             hi = mid
     return _double(hi)
-
-
-def _bisection_hi(first_inside):
-    """The ``hi`` of the bisection that tests ``radius_sq(mid) > r*r``,
-    given the first double at which that test is false: its own control
-    flow, with ``mid < first_inside`` for the test.  That includes the
-    200-step cap, which stops short of adjacent doubles when the root is
-    below about 2**-148 of the starting ``hi``."""
-    lo, hi = 0.0, 1.0
-    while hi < first_inside:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if mid < first_inside:
-            lo = mid
-        else:
-            hi = mid
-    return hi
 
 
 def gradient_mapping(cset, metric, x_minus, g, omega):

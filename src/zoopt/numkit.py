@@ -8,6 +8,11 @@ same (n, d) rows, bit for bit, as n single draws, and leaves the stream where
 they would.  Callers that build many rows (directions, or the points that
 evaluate them) walk ``block_spans``, so that no step holds more than about
 ``BLOCK_WORDS`` words of temporaries.
+
+Only the raw words are platform-independent.  Gaussians go through numpy's
+CPU-dispatched ``log`` and sphere and ball norms through the BLAS dot kernel,
+so the draws, and every trace built on them, repeat bit for bit only on the
+same CPU features and BLAS kernel.
 """
 
 import math
@@ -36,7 +41,7 @@ class RngStream:
 
     The k-th raw word is ``mix64(seed + k * GOLDEN)`` where ``mix64`` is the
     SplitMix64 finalizer and GOLDEN the 64-bit golden-ratio increment.  Equal
-    seeds therefore give bitwise-identical sequences on every platform, and
+    seeds therefore give bitwise-identical raw words on every platform, and
     block draws consume exactly the same counters as repeated single draws.
 
     One stream per run; not safe to share between concurrent runs.
@@ -181,20 +186,19 @@ def sample_unit_ball(d, rng, n=None):
     """Uniform draws from the closed unit ball: a sphere direction scaled by
     r^(1/d), r uniform on [0, 1).
 
-    ``n=None`` gives one (d,) vector; with ``n`` an (n, d) array equal bit for
-    bit to n single draws (each draw uses 2d words for the direction, then one
-    for r).
+    ``n=None`` gives one (d,) vector, the block of one row; with ``n`` an
+    (n, d) array whose rows equal n successive single draws bit for bit (each
+    draw uses 2d words for the direction, then one for r).
     """
     _check_dim(d)
     if n is None:
-        u = sample_unit_sphere(d, rng)
-        return u * (rng.uniform() ** (1.0 / d))
+        return sample_unit_ball(d, rng, 1)[0]
     w = rng.raw(n * (2 * d + 1)).reshape(n, 2 * d + 1)
     g = _box_muller(w[:, :-1])
     nrm = np.sqrt(np.vecdot(g, g))
     k = n if nrm.all() else int(np.argmin(nrm))
-    # Python's float power, as a single draw uses: numpy's array power differs
-    # from it in the last bit
+    # Python's float power, because the recorded digests were made with it:
+    # numpy's array power differs from it in the last bit
     radius = np.array([r ** (1.0 / d) for r in _unit_interval(w[:k, -1]).tolist()])
     head = (g[:k] / nrm[:k, None]) * radius[:, None]
     if k == n:
@@ -202,5 +206,5 @@ def sample_unit_ball(d, rng, n=None):
     # row k's direction is redrawn right after its all-zero words, then its
     # radius and the remaining rows follow
     rng.rewind((2 * d + 1) * (n - k) - 2 * d)
-    return np.concatenate([head, sample_unit_ball(d, rng)[None],
+    return np.concatenate([head, sample_unit_ball(d, rng, 1),
                            sample_unit_ball(d, rng, n - k - 1)])

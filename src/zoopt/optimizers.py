@@ -206,23 +206,25 @@ def validate_config(cfg, problem, query_budget, max_iters=None,
         raise ConfigError("optimizer.beta1/beta2 must lie in [0, 1]")
     if not (math.isfinite(cfg.alpha) and cfg.alpha > 0):
         raise ConfigError("optimizer.alpha must be positive and finite")
-    if not (math.isfinite(cfg.v0) and cfg.v0 >= 0):
-        raise ConfigError("optimizer.v0 must be nonnegative and finite")
+    for key in ("v0", "vhat0"):
+        start = getattr(cfg, key)
+        if not (math.isfinite(start) and start >= 0):
+            raise ConfigError(f"optimizer.{key} must be nonnegative and finite")
     cfg.estimator.validate()
     # both raise ConfigError on an unknown schedule
     step_size(cfg, 1)
     smoothing_at(cfg, 1, problem.objective.dim, 1)
 
-    if row.step == "adaptive" and not cfg.euclidean_projection_override:
-        if cfg.vhat0 <= 0 and cfg.use_vhat_max:
-            raise ConfigError("optimizer.vhat0 must be positive for the "
-                              "weighted projection")
-        if (cfg.v0 == 0 and not cfg.use_vhat_max
-                and not isinstance(problem.constraint, Unconstrained)):
-            # v itself weights the projection, and a coordinate no estimate
-            # touches stays 0
-            raise ConfigError("optimizer.v0 must be positive for the weighted "
-                              "projection when use_vhat_max is false")
+    if (row.step == "adaptive" and not cfg.euclidean_projection_override
+            and not isinstance(problem.constraint, Unconstrained)):
+        # the weighted projection's metric is sqrt(v_hat), or sqrt(v) without
+        # use_vhat_max; from a zero start, a coordinate no estimate touches
+        # stays 0
+        key = "vhat0" if cfg.use_vhat_max else "v0"
+        if getattr(cfg, key) == 0:
+            raise ConfigError(f"optimizer.{key} must be positive for the "
+                              "weighted projection when use_vhat_max is "
+                              f"{str(cfg.use_vhat_max).lower()}")
     if not row.projected and not isinstance(problem.constraint, Unconstrained):
         raise ConfigError(f"optimizer.algorithm: {cfg.algorithm} handles "
                           "unconstrained problems only")

@@ -28,8 +28,8 @@ class StochasticObjective:
     returns f at every row of an (n, dim) array, where ``xi`` is either one
     int for all rows or an int array with one index per row.  Row k must
     equal ``fn(X[k], xi_k)`` bit for bit: the batch is only a faster way to
-    make the same queries.  Without ``fn_batch`` the batch methods call ``fn``
-    row by row.
+    make the same queries.  A single evaluation is a one-row batch; without
+    ``fn_batch`` a batch calls ``fn`` row by row.
     """
 
     def __init__(self, dim, fn, n_samples=None, name="", fn_batch=None):
@@ -52,14 +52,6 @@ class StochasticObjective:
         hi = 1 if self.n_samples is None else self.n_samples
         if not 0 <= xi < hi:
             raise ValueError(f"sample index {xi} out of range [0, {hi})")
-
-    def _call(self, x, xi):
-        x = as_vector(x, self.dim)
-        self._check_sample(xi)
-        val = float(self._fn(x, int(xi)))
-        if not math.isfinite(val):
-            raise NumericError("objective returned a non-finite value", x=x)
-        return val
 
     def _batch(self, X, xi, counted):
         X = np.asarray(X, dtype=np.float64)
@@ -90,7 +82,9 @@ class StochasticObjective:
             if vals.shape != (n,):
                 raise ValueError(f"fn_batch returned shape {vals.shape} for {n} points")
             finite = np.isfinite(vals)
-            ok = n if finite.all() else int(np.argmin(finite))
+            # count_nonzero costs half of all() on the short arrays most
+            # calls pass, one-row evaluations and peeks included
+            ok = n if np.count_nonzero(finite) == n else int(np.argmin(finite))
         if counted:
             self._queries += ok
         if ok < n:
@@ -99,9 +93,7 @@ class StochasticObjective:
 
     def evaluate(self, x, xi=0):
         """f(x; xi); charges one query."""
-        val = self._call(x, xi)
-        self._queries += 1
-        return val
+        return float(self._batch(as_vector(x, self.dim)[None], xi, counted=True)[0])
 
     def evaluate_batch(self, X, xi=0):
         """f at every row of the (n, dim) array X; charges n queries.
@@ -115,7 +107,7 @@ class StochasticObjective:
 
     def peek(self, x, xi=0):
         """f(x; xi) without touching the query counter (metric side only)."""
-        return self._call(x, xi)
+        return float(self._batch(as_vector(x, self.dim)[None], xi, counted=False)[0])
 
     def peek_batch(self, X, xi=0):
         """``evaluate_batch`` without touching the query counter."""

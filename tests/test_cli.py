@@ -1,4 +1,5 @@
 import json
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
@@ -195,6 +196,53 @@ def test_attack_checks_every_budget_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_attack_names_its_flags_for_an_unprojected_method(tmp_path, capsys):
+    out = tmp_path / "att"
+    assert main(["attack", "--m", "1", "--opt", "zo-sgd", "--formulation",
+                 "constrained", "--budget", "100", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--opt" in err and "--formulation" in err and "zo-sgd" in err
+    assert "optimizer." not in err
+    assert not out.exists()
+
+
+def test_zero_vhat0_runs_without_a_weighted_projection(tmp_path):
+    cfg = write_cfg(tmp_path, QUAD_CFG + "optimizer.vhat0 = 0\n")
+    assert main(["run", str(cfg)]) == 0
+
+
+def test_run_tag_stays_inside_the_output_directory_property(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    body = QUAD_CFG.replace("run.repeat = 2", "run.repeat = 1")
+    # deeper than a ten-character tag can climb, so every escape lands
+    # inside the example's own directory
+    nest = Path(*"abcdef")
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(tag=st.text(st.sampled_from("ab._-/\\\0 #"), max_size=10)
+                      | st.text(max_size=10))
+    def check(tag):
+        root = Path(tempfile.mkdtemp(dir=tmp_path))
+        (root / nest).mkdir(parents=True)
+        out = root / nest / "out"
+        cfg = root / "run.cfg"
+        cfg.write_text(body.replace("run.tag = quick", f"run.tag = {tag}")
+                       + f"\nrun.outdir = {out}\n", encoding="utf-8")
+        before = set(root.rglob("*"))
+        code = main(["run", str(cfg)])
+        written = set(root.rglob("*")) - before
+        if code == 0:
+            assert out in written
+            assert all(p == out or (p.parent == out and p.is_file())
+                       for p in written)
+            assert any(p.suffix == ".csv" for p in written)
+        else:
+            assert code == 2 and not written
+
+    check()
+
+
 def test_sweep_points_match_single_runs(tmp_path):
     body = QUAD_CFG.replace("run.repeat = 2", "run.repeat = 1")
     sweep = write_cfg(tmp_path, body + """
@@ -259,6 +307,9 @@ INVALID = {
     "run.record_measure = bogus": "run.record_measure",
     "problem.kind = logistic\noptimizer.kind = coordinate\n"
     "optimizer.v0 = 0\noptimizer.use_vhat_max = false": "optimizer.v0",
+    "problem.kind = logistic\noptimizer.vhat0 = 0": "optimizer.vhat0",
+    "run.tag = ../escape": "run.tag",
+    "run.tag = sub/x": "run.tag",
 }
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -161,9 +162,11 @@ def test_invalid_sets():
         DiagonalMetric([1.0, 0.0])
 
 
-def _bisection_projection(ball, y, h):
+def _bisection_projection(ball, y, h, cap=200):
     """``L2Ball.project_metric`` as first written: bisection on the KKT
-    multiplier, kept as the oracle for the search that replaced it."""
+    multiplier, kept as the oracle for the search that replaced it.  The
+    first version stopped after ``cap`` = 200 halvings; ``cap=None`` lifts
+    that, so the bisection stops only at adjacent doubles."""
     c, r = ball.center, ball.radius
     diff = y - c
     if math.sqrt(float(np.dot(diff, diff))) <= r:
@@ -176,7 +179,7 @@ def _bisection_projection(ball, y, h):
     lo, hi = 0.0, 1.0
     while radius_sq(hi) > r * r:
         hi *= 2.0
-    for _ in range(200):
+    for _ in itertools.count() if cap is None else range(cap):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -187,11 +190,11 @@ def _bisection_projection(ball, y, h):
     return c + h * diff / (h + hi)
 
 
-def _assert_matches_bisection(center, radius, y, h):
+def _assert_matches_bisection(center, radius, y, h, cap=200):
     ball = L2Ball(center, radius)
     y = np.asarray(y, dtype=np.float64)
     with np.errstate(all="ignore"):
-        want = _bisection_projection(ball, y, h)
+        want = _bisection_projection(ball, y, h, cap)
         got = ball.project_metric(y, h)
     assert np.array_equal(got, want, equal_nan=True), (got, want)
     return got
@@ -227,18 +230,35 @@ def test_weighted_ball_projection_matches_bisection_property():
 
 @pytest.mark.parametrize("h", [1e-40, 1e-60, 1e-120, 1e-250])
 def test_weighted_ball_projection_under_the_step_cap(h):
-    # a weight this small puts the multiplier below 2**-148: the bisection
-    # stops on its 200-step cap before adjacent doubles, and the result keeps
-    # that stop
+    # a weight this small puts the multiplier below 2**-148, where the first
+    # bisection stopped on its 200-step cap before adjacent doubles; the
+    # result is that of the bisection run to adjacent doubles instead
     center, radius = np.array([0.3, -0.2]), 0.5
+    ball = L2Ball(center, radius)
     hw = np.array([h, 2.0 * h])
     for n in (1, 3, 1000):
         y = center + np.array([0.6, 0.8]) * (radius + n * math.ulp(radius))
-        _assert_matches_bisection(center, radius, y, hw)
+        got = _assert_matches_bisection(center, radius, y, hw, cap=None)
+        assert ball.member(got, tol=0.0)
+        assert abs(float(np.linalg.norm(got - center)) - radius) <= 1e-15
+        # from 1e-60 the capped multiplier is large enough to pull the
+        # result off the sphere (at 1e-120 and below, to the center)
+        capped = _bisection_projection(ball, y, hw)
+        assert np.array_equal(got, capped) == (h > 1e-60)
     diff = y - center
-    first = geometry._first_inside(hw * diff, hw, radius)
-    assert 0.0 < first < 2.0 ** -148
-    assert geometry._bisection_hi(first) != first
+    assert 0.0 < geometry._first_inside(hw * diff, hw, radius) < 2.0 ** -148
+
+
+def test_weighted_ball_projection_ignores_the_weights_scale():
+    # a projection under diag(h) is one under diag(s*h); the scales reach
+    # the multipliers where a bisection capped at 200 halvings stops early
+    ball = L2Ball(np.zeros(3), 1.0)
+    want = ball.project_metric([3.0, 4.0, 0.0], np.array([1.0, 2.0, 4.0]))
+    assert np.allclose(want, [0.390, 0.921, 0.0], atol=1e-3)
+    for s in (1e-20, 1e-40, 1e-60, 1e-120, 1e-250):
+        got = ball.project_metric([3.0, 4.0, 0.0], s * np.array([1.0, 2.0, 4.0]))
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+        assert abs(float(np.linalg.norm(got)) - 1.0) <= 1e-15
 
 
 def test_weighted_ball_projection_matches_bisection_on_non_finite_input():
@@ -256,8 +276,8 @@ def test_weighted_ball_projection_matches_bisection_on_non_finite_input():
 
 def test_inf_weight_projection_gives_the_iterate_the_run_aborts_on():
     # g**2 overflows v_hat to inf in coordinate 0, so h = inf there: the
-    # rounded radius is nan at every multiplier, the bisection's hi halves
-    # down to 2**-200 and the projection is nan, which check_finite rejects
+    # rounded radius is nan at every multiplier, the multiplier is the
+    # smallest double and the projection is nan, which check_finite rejects
     ball = L2Ball(np.zeros(3), 0.5)
     cfg = default_config("zo-adamm", alpha=0.1, alpha_schedule="constant")
     x = np.array([0.5, 0.0, 0.0])
@@ -270,11 +290,11 @@ def test_inf_weight_projection_gives_the_iterate_the_run_aborts_on():
     y = x - 0.1 * state.m / h
     assert float(np.linalg.norm(y)) > ball.radius
     with np.errstate(all="ignore"):
-        want = _bisection_projection(ball, y, h)
+        want = _bisection_projection(ball, y, h, cap=None)
         diff = y - ball.center
         first = geometry._first_inside(h * diff, h, ball.radius)
     assert np.array_equal(x_new, want, equal_nan=True)
     assert np.isnan(x_new[0])
-    assert geometry._bisection_hi(first) == 2.0 ** -200
+    assert first == 5e-324
     with pytest.raises(NumericError, match="non-finite value in iterate"):
         check_finite(x_new, "iterate")

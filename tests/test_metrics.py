@@ -1,5 +1,7 @@
 import json
 import math
+import struct
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -54,6 +56,35 @@ def test_csv_round_trip_exact(tmp_path):
                            "distortion,success\n")
     assert ",false\n" in text.replace("\r", "")
     assert "\r" not in text
+
+
+def _record_bits(rec):
+    """A record's fields with every float as its bit pattern."""
+    return tuple(struct.pack("<d", v) if isinstance(v, float) else v
+                 for v in astuple(rec))
+
+
+def test_csv_round_trip_property(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    # the CSV writes every nan as "nan", so only the canonical nan can come
+    # back with its bits; -0.0, subnormals and the infinities must all do
+    floats = st.floats(allow_nan=False) | st.sampled_from(
+        [-0.0, 5e-324, -2.0 ** -1070, math.inf, -math.inf, math.nan])
+    counts = st.integers(0, 2 ** 70)
+    records = st.builds(TraceRecord, counts, counts, floats, st.none() | floats,
+                        st.none() | floats, st.none() | floats,
+                        st.none() | st.booleans())
+    path = tmp_path / "t.csv"
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(recs=st.lists(records, max_size=8))
+    def check(recs):
+        serialize_csv(Trace(records=recs), path)
+        assert ([_record_bits(r) for r in parse_csv(path)]
+                == [_record_bits(r) for r in recs])
+
+    check()
 
 
 def test_csv_empty_trace_header_only(tmp_path):

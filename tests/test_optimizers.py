@@ -287,6 +287,20 @@ def test_zero_v0_without_vhat_max_is_rejected_only_when_projected():
     validate_config(cfg, make_quadratic(5), 200)
 
 
+def test_vhat0_is_checked_as_v0_is():
+    cfg = default_config("zo-adamm", vhat0=0.0)
+    with pytest.raises(ConfigError, match="optimizer.vhat0"):
+        validate_config(cfg, make_logistic(20, 5, seed=0, radius=0.5), 200)
+    # no weighted projection: v_hat is max(0, v) > 0 and the run descends
+    res = run_optimizer(make_quadratic(5), cfg, 200)
+    assert res.trace.records[-1].loss < res.trace.records[0].loss
+    # nan or inf in v_hat zeroes every step, so the run would never move
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(ConfigError, match="optimizer.vhat0"):
+            run_optimizer(make_quadratic(5),
+                          default_config("zo-adamm", vhat0=bad), 200)
+
+
 def test_second_moment_reaching_zero_aborts_the_run():
     # beta2 = 0 makes v the last squared estimate, which is 0 on the
     # coordinates the estimate skips
