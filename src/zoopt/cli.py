@@ -210,6 +210,15 @@ def _plan(config_path, sweep):
         _check_point(settings)
         jobs += [(combo, settings, base["run.base_seed"] + r, label)
                  for r in range(base["run.repeat"])]
+    # every file the plan writes must fit the 255-byte limit of a file name;
+    # each run's .json name is a byte longer than its .csv name
+    names = [f"{label}_seed{seed}.json" for *_, seed, label in jobs]
+    for name in names + ([f"{tag}_sweep_summary.json"] if sweep else []):
+        size = len(name.encode("utf-8"))
+        if size > 255:
+            raise ConfigError(f"run.tag: output file name {name[:40]!r}... is "
+                              f"{size} bytes, over the 255-byte limit of a "
+                              "file name")
     outdir = Path(base["run.outdir"])
     outdir.mkdir(parents=True, exist_ok=True)
     return base, outdir, jobs

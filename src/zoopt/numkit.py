@@ -13,6 +13,11 @@ Only the raw words are platform-independent.  Gaussians go through numpy's
 CPU-dispatched ``log`` and sphere and ball norms through the BLAS dot kernel,
 so the draws, and every trace built on them, repeat bit for bit only on the
 same CPU features and BLAS kernel.
+
+The stream computes words ahead of the draws that use them, a window at a
+time (see :class:`RngStream`).  Since word k depends only on (seed, k), and
+each double and Gaussian only on its own words, that changes the speed of a
+draw and never its bits.
 """
 
 import math
@@ -26,7 +31,9 @@ _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_B = np.uint64(0x94D049BB133111EB)
 _TWO53 = float(1 << 53)
 
-BLOCK_WORDS = 1 << 13  # words per block_spans step: raw draws or point coordinates
+# words per block_spans step (raw draws or point coordinates), and the size the
+# stream's read-ahead window grows to
+BLOCK_WORDS = 1 << 13
 
 
 def _mix64(z):
@@ -44,6 +51,22 @@ class RngStream:
     seeds therefore give bitwise-identical raw words on every platform, and
     block draws consume exactly the same counters as repeated single draws.
 
+    Draws are served from a read-ahead window: the raw words of the counters
+    after the current one, made in one vectorized call by ``_words``, with
+    their ``[0, 1)`` doubles and their Box-Muller Gaussians for each pair
+    alignment (a draw that starts on an odd offset pairs words (1, 2),
+    (3, 4), ... of the window) derived on first use.  A draw returns a copy of
+    a slice and moves the counter; one that runs past either end of the window
+    refills it from the current counter, and ``rewind`` only moves the
+    counter.  Each word, double and Gaussian is an elementwise function of its
+    own counters, so no result depends on where a window starts or ends.  A
+    fresh stream's first window holds just its first draw, which keeps
+    short-lived streams cheap; each refill doubles the window, up to
+    ``BLOCK_WORDS`` words or the draw that forces the refill if that is
+    larger.  The words, doubles and both Gaussian arrays take 24 bytes per
+    word: 192 KiB at ``BLOCK_WORDS``, more only while a larger draw's window
+    is held.
+
     One stream per run; not safe to share between concurrent runs.
     """
 
@@ -51,13 +74,35 @@ class RngStream:
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
         self._key = np.uint64(self.seed)
         self._counter = 0
+        self._base = 0  # counter just before the window's first word
+        self._window = np.empty(0, dtype=np.uint64)
+        self._unit = None  # doubles of the window, made on first use
+        self._gauss = [None, None]  # Gaussians of pairs at even / odd offsets
+
+    def _words(self, counter, n):
+        """Raw words for counters ``counter + 1`` .. ``counter + n``: the one
+        source every draw's words come from."""
+        idx = np.arange(counter + 1, counter + n + 1, dtype=np.uint64)
+        return _mix64(self._key + idx * _GOLDEN)
+
+    def _take(self, n):
+        """Window offset of the next ``n`` words, which the counter moves past."""
+        if n < 0:
+            raise ValueError(f"cannot draw a negative number of words ({n})")
+        off = self._counter - self._base
+        if off < 0 or off + n > self._window.shape[0]:
+            size = max(n, min(BLOCK_WORDS, 2 * self._window.shape[0]))
+            self._window = self._words(self._counter, size)
+            self._base, off = self._counter, 0
+            self._unit = None
+            self._gauss = [None, None]
+        self._counter += n
+        return off
 
     def raw(self, n):
         """Next ``n`` raw 64-bit words as a uint64 array."""
-        lo = self._counter + 1
-        idx = np.arange(lo, lo + n, dtype=np.uint64)
-        self._counter += n
-        return _mix64(self._key + idx * _GOLDEN)
+        off = self._take(n)
+        return self._window[off:off + n].copy()
 
     def rewind(self, n):
         """Hand back the last ``n`` raw words: the next draws reuse them."""
@@ -70,8 +115,10 @@ class RngStream:
 
         ``n=None`` gives one float; ``n=0`` an empty array and no words used.
         """
-        u = _unit_interval(self.raw(1 if n is None else n))
-        return u if n is not None else float(u[0])
+        off = self._take(1 if n is None else n)
+        if self._unit is None:
+            self._unit = _unit_interval(self._window)
+        return float(self._unit[off]) if n is None else self._unit[off:off + n].copy()
 
     def normal(self, n):
         """``n`` standard Gaussians via Box-Muller, cosine branch only.
@@ -79,7 +126,12 @@ class RngStream:
         Each Gaussian consumes exactly two raw words, so block and sequential
         generation agree bitwise.
         """
-        return _box_muller(self.raw(2 * n))
+        off = self._take(2 * n)
+        a = off % 2
+        if self._gauss[a] is None:
+            pairs = (self._window.shape[0] - a) // 2
+            self._gauss[a] = _box_muller(self._window[a:a + 2 * pairs])
+        return self._gauss[a][off // 2:off // 2 + n].copy()
 
     def integers(self, n, low, high):
         """``n`` integers uniform on [low, high)."""

@@ -27,7 +27,8 @@ run.tag = quick
 
 def write_cfg(tmp_path, body, outdir_name="out"):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(body + f"\nrun.outdir = {tmp_path / outdir_name}\n")
+    cfg.write_text(body + f"\nrun.outdir = {tmp_path / outdir_name}\n",
+                   encoding="utf-8")
     return cfg
 
 
@@ -241,6 +242,34 @@ def test_run_tag_stays_inside_the_output_directory_property(tmp_path):
             assert code == 2 and not written
 
     check()
+
+
+def test_run_tag_longer_than_a_file_name_is_a_config_error(tmp_path, capsys):
+    # the longest name a run writes is "{tag}_seed11.json": 12 bytes past the tag
+    cfg = write_cfg(tmp_path, QUAD_CFG.replace("run.tag = quick",
+                                               f"run.tag = {'t' * 300}"))
+    assert main(["run", str(cfg)]) == 2
+    assert "run.tag" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # 243 bytes of tag (two-byte characters count twice) make a 255-byte name
+    tag = "\u00e9" * 100 + "a" * 43
+    cfg = write_cfg(tmp_path, QUAD_CFG.replace("run.tag = quick", f"run.tag = {tag}"))
+    assert main(["run", str(cfg)]) == 0
+    assert (tmp_path / "out" / f"{tag}_seed11.json").is_file()
+    cfg = write_cfg(tmp_path, QUAD_CFG.replace("run.tag = quick",
+                                               f"run.tag = {tag}a"), "out2")
+    assert main(["run", str(cfg)]) == 2
+    assert not (tmp_path / "out2").exists()
+
+
+def test_sweep_label_longer_than_a_file_name_is_a_config_error(tmp_path, capsys):
+    # the tag alone fits; the swept value added to it does not
+    body = QUAD_CFG.replace("run.tag = quick", f"run.tag = {'t' * 230}")
+    cfg = write_cfg(tmp_path, body + "\nsweep.param = optimizer.alpha\n"
+                    "sweep.grid = 0.1,0.0500000001\n", "sweepout")
+    assert main(["sweep", str(cfg)]) == 2
+    assert "run.tag" in capsys.readouterr().err
+    assert not (tmp_path / "sweepout").exists()
 
 
 def test_sweep_points_match_single_runs(tmp_path):

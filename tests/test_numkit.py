@@ -1,10 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from zoopt.numkit import (BLOCK_WORDS, RngStream, block_spans, sample_unit_ball,
-                          sample_unit_sphere, weighted_row_sum)
+from zoopt import numkit
+from zoopt.numkit import (BLOCK_WORDS, RngStream, _box_muller, _unit_interval,
+                          block_spans, sample_unit_ball, sample_unit_sphere,
+                          weighted_row_sum)
 
 # first raw words of seed 42, frozen from a verified run: regression anchor for
 # the pinned generator algorithm
@@ -113,6 +116,107 @@ def test_zero_length_draws_are_empty_and_free():
     assert rng.uniform() == RngStream(1).uniform()
 
 
+@pytest.mark.parametrize("draw", [
+    lambda rng: rng.raw(-3),
+    lambda rng: rng.uniform(-1),
+    lambda rng: rng.normal(-2),
+    lambda rng: rng.integers(-1, 0, 5),
+    lambda rng: sample_unit_sphere(3, rng, -1),
+    lambda rng: sample_unit_ball(3, rng, -1),
+], ids=["raw", "uniform", "normal", "integers", "sphere", "ball"])
+def test_negative_draw_counts_raise_and_leave_the_stream(draw):
+    rng = RngStream(1)
+    rng.raw(5)
+    with pytest.raises(ValueError):
+        draw(rng)
+    assert rng._counter == 5
+    assert np.array_equal(rng.raw(2), RngStream(1).raw(7)[5:])
+
+
+_MASK = (1 << 64) - 1
+
+
+class ReferenceStream:
+    """The stream with no window: each call's words are made from its own
+    counters by SplitMix64 in plain Python integers, then go through the
+    module's conversions one call at a time."""
+
+    def __init__(self, seed):
+        self.key = seed & _MASK
+        self.counter = 0
+
+    def raw(self, n):
+        out = []
+        for k in range(self.counter + 1, self.counter + n + 1):
+            z = (self.key + k * 0x9E3779B97F4A7C15) & _MASK
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+            out.append(z ^ (z >> 31))
+        self.counter += n
+        return np.array(out, dtype=np.uint64)
+
+    def rewind(self, n):
+        self.counter -= n
+
+    def uniform(self, n=None):
+        u = _unit_interval(self.raw(1 if n is None else n))
+        return float(u[0]) if n is None else u
+
+    def normal(self, n):
+        return _box_muller(self.raw(2 * n))
+
+    # the same arithmetic on top of uniform(): only the words' source differs
+    integers = RngStream.integers
+    choice_without_replacement = RngStream.choice_without_replacement
+
+
+def _call(stream, op, size):
+    if op == "rewind":
+        return stream.rewind(size)
+    if op == "uniform1":
+        return stream.uniform()
+    if op == "integers":
+        return stream.integers(size, -3, 7)
+    if op == "choice":
+        return stream.choice_without_replacement(size + 3, max(1, size))
+    return getattr(stream, op)(size)
+
+
+def test_window_draws_match_an_uncached_reference_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    ops = ("raw", "uniform", "uniform1", "normal", "integers", "choice", "rewind")
+
+    # small windows make many refills, odd sizes both pair alignments, sizes
+    # past twice the window draws that run over its edge, and long rewinds
+    # move the counter to before the window's first word
+    @hypothesis.settings(max_examples=120, deadline=None)
+    @hypothesis.given(seed=st.integers(0, 2**64 - 1),
+                      window=st.sampled_from([1, 2, 5, 16, BLOCK_WORDS]),
+                      calls=st.lists(st.tuples(
+                          st.sampled_from(ops),
+                          st.integers(0, 9) | st.integers(0, 40) | st.integers(0, 200)),
+                          min_size=5, max_size=30))
+    # a Gaussian pair that starts on an odd offset inside one window
+    @hypothesis.example(seed=1, window=BLOCK_WORDS, calls=[
+        ("raw", 3), ("raw", 3), ("normal", 1), ("uniform1", 0), ("normal", 2)])
+    # a rewind to before the window's first word, then a draw that fits in it
+    @hypothesis.example(seed=2, window=16, calls=[
+        ("raw", 5), ("raw", 9), ("rewind", 12), ("normal", 2), ("uniform", 3)])
+    def check(seed, window, calls):
+        with mock.patch.object(numkit, "BLOCK_WORDS", window):
+            rng, ref = RngStream(seed), ReferenceStream(seed)
+            for op, size in calls:
+                if op == "rewind":  # as far back as the draws so far allow
+                    size = min(size, ref.counter)
+                got, want = np.asarray(_call(rng, op, size)), np.asarray(_call(ref, op, size))
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+                assert rng._counter == ref.counter
+
+    check()
+
+
 # single-draw samplers exactly as the toolkit first wrote them: the reference
 # the block samplers must reproduce bit for bit
 
@@ -198,12 +302,11 @@ class ZeroWordStream(RngStream):
         super().__init__(seed)
         self.counters = set(counters)
 
-    def raw(self, n):
-        first = self._counter + 1
-        w = super().raw(n)
+    def _words(self, counter, n):
+        w = super()._words(counter, n)
         for c in self.counters:
-            if first <= c < first + n:
-                w[c - first] = np.uint64(0xFFFFFFFFFFFFFFFF)
+            if counter < c <= counter + n:
+                w[c - counter - 1] = np.uint64(0xFFFFFFFFFFFFFFFF)
         return w
 
 
