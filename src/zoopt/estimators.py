@@ -10,13 +10,14 @@ consume a fixed, documented number of oracle queries:
 * coordinate-wise central differences -- 2*len(coords) queries
 * antithetic Gaussian (NES-style) differences -- 2*q queries
 
-Each call draws all of its directions in one block from the stream and makes
-its queries through ``evaluate_batch``, in ``numkit.block_spans`` steps when
-there are many.  The results, the query count and the stream position
-afterwards equal, bit for bit, those of drawing each direction just before its
-queries and making the queries one at a time, also when the objective returns
-a non-finite value and the call aborts.  The one exception is documented at
-``two_point_estimates``.
+Each call draws its directions in one block from the stream before it queries
+(``two_point_estimates`` draws and queries a ``numkit.block_spans`` step at a
+time) and makes its queries through ``evaluate_batch``.  The results, the
+query count and the stream position afterwards equal, bit for bit, those of
+drawing each direction just before its queries and making the queries one at
+a time.  If the objective returns a non-finite value, or an estimate
+overflows, the call aborts under one rule: the directions it drew stay drawn,
+and exactly the rows evaluated before the first non-finite value are charged.
 """
 
 import math
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError
 from .numkit import (as_vector, block_spans, check_finite, sample_unit_sphere,
                      weighted_row_sum)
 
@@ -73,35 +74,15 @@ def _scale(d, mu, directions):
     return d / mu if directions == "sphere" else 1.0 / mu
 
 
-def _evaluate(obj, pts, xi, rng, d, drawn, lead, per):
-    """``obj.evaluate_batch(pts, xi)`` for rows that use ``drawn`` directions:
-    ``lead`` rows use none, then each direction has ``per`` rows in turn.
-
-    A one-at-a-time loop draws each direction just before its rows.  If a
-    value is non-finite, the directions that loop would not have drawn yet go
-    back to the stream, so a run's later draws stay the same.
-    """
-    before = obj.queries
-    try:
-        return obj.evaluate_batch(pts, xi)
-    except NumericError:
-        failed = obj.queries - before
-        used = 0 if failed < lead else (failed - lead) // per + 1
-        rng.rewind(2 * d * (drawn - used))
-        raise
-
-
 def two_point_estimates(obj, x, xi, mu, n, rng, directions="sphere"):
     """n independent two-point estimates at x as an (n, d) array; 2*n queries.
 
     Row k equals the k-th of n ``two_point_uniform`` calls on the same
-    stream.  Directions and queries go in ``block_spans`` steps, so a long run
-    of estimates holds only a step's points at a time.
-
-    If two finite values differ by more than the double range, that estimate
-    is non-finite and the call aborts.  The stream is then left where the
-    one-call-at-a-time loop leaves it, but the queries of the estimates after
-    it in the same step were already made and stay charged.
+    stream.  Each ``block_spans`` step draws its directions, then queries
+    them.  A non-finite value, or two finite values that differ by more than
+    the double range, aborts the call at the first non-finite estimate: the
+    stream stands after the directions of the steps begun, and every row
+    evaluated before the first non-finite value stays charged.
     """
     mu = clamp_mu(mu)
     x = as_vector(x, obj.dim)
@@ -113,14 +94,12 @@ def two_point_estimates(obj, x, xi, mu, n, rng, directions="sphere"):
         pts = np.empty((2 * (hi - lo), d))
         pts[0::2] = x
         pts[1::2] = x + mu * u
-        vals = _evaluate(obj, pts, xi, rng, d, hi - lo, 0, 2)
+        vals = obj.evaluate_batch(pts, xi)
         ests = out[lo:hi]
         np.multiply((scale * (vals[1::2] - vals[0::2]))[:, None], u, out=ests)
         finite = np.isfinite(ests).all(axis=1)
         if not finite.all():
-            k = int(np.argmin(finite))
-            rng.rewind(2 * d * (hi - lo - k - 1))
-            check_finite(ests[k], "two-point gradient estimate")
+            check_finite(ests[np.argmin(finite)], "two-point gradient estimate")
     return out
 
 
@@ -137,40 +116,50 @@ def two_point_uniform(obj, x, xi, mu, rng, directions="sphere"):
     return check_finite(g, "two-point gradient estimate")
 
 
-def averaged_with_indices(obj, x, mu, indices, q, rng, directions="sphere"):
-    """Core of the averaged estimator for an already-drawn minibatch.
+def _direction_sums(batch, x, mu, indices, u):
+    """sum_j [f(x + mu*u_i; xi_j) - f(x; xi_j)] for each row u_i of ``u``, over
+    the samples xi_j in ``indices``, with ``batch(points, xi)`` giving f.
 
-    Shares the q directions across the samples and reuses each base value
-    f(x; xi_j): exactly len(indices)*(q+1) queries.  The base point goes with
-    the first step of directions; each step holds every sample along each of
-    its directions.
+    The base values f(x; xi_j) are evaluated once, with the first step of
+    directions; each ``block_spans`` step holds every sample along each of its
+    directions.
     """
-    mu = clamp_mu(mu)
-    if not indices or q < 1:
-        raise ValueError("need a non-empty minibatch and q >= 1")
-    x = as_vector(x, obj.dim)
-    d = obj.dim
     b = len(indices)
-    u = _directions(q, d, rng, directions)
-    coeff = np.empty(q)
+    q, d = u.shape
+    sums = np.empty(q)
     for lo, hi in block_spans(q, b * d):
         lead = b if lo == 0 else 0
         pts = np.empty((lead + b * (hi - lo), d))
         pts[:lead] = x
         pts[lead:].reshape(hi - lo, b, d)[:] = (x + mu * u[lo:hi])[:, None, :]
         xi = indices[0] if b == 1 else np.tile(indices, len(pts) // b)
-        vals = _evaluate(obj, pts, xi, rng, d, q - lo, lead, b)
+        vals = batch(pts, xi)
         if lo == 0:
             base = vals[:b]
         diffs = vals[lead:].reshape(hi - lo, b)
         c = np.zeros(hi - lo)
         for k in range(b):
             c += diffs[:, k] - base[k]
-        coeff[lo:hi] = c
+        sums[lo:hi] = c
+    return sums
+
+
+def averaged_with_indices(obj, x, mu, indices, q, rng, directions="sphere"):
+    """Core of the averaged estimator for an already-drawn minibatch.
+
+    Shares the q directions across the samples and reuses each base value
+    f(x; xi_j): exactly len(indices)*(q+1) queries.
+    """
+    mu = clamp_mu(mu)
+    if not indices or q < 1:
+        raise ValueError("need a non-empty minibatch and q >= 1")
+    x = as_vector(x, obj.dim)
+    u = _directions(q, obj.dim, rng, directions)
+    sums = _direction_sums(obj.evaluate_batch, x, mu, indices, u)
     # scaling applied per direction so the b = q = 1 case reproduces the plain
     # two-point estimate bit for bit
-    scale = _scale(d, mu, directions) / (b * q)
-    g = weighted_row_sum(scale * coeff, u)
+    scale = _scale(obj.dim, mu, directions) / (len(indices) * q)
+    g = weighted_row_sum(scale * sums, u)
     return check_finite(g, "averaged gradient estimate")
 
 
@@ -222,7 +211,7 @@ def nes_antithetic_estimate(obj, x, xi, mu, q, rng):
     pts = np.empty((2 * q, d))
     pts[0::2] = x + mu * u
     pts[1::2] = x - mu * u
-    vals = _evaluate(obj, pts, xi, rng, d, q, 0, 2)
+    vals = obj.evaluate_batch(pts, xi)
     g = weighted_row_sum(vals[0::2] - vals[1::2], u)
     g /= 2.0 * q * mu
     return check_finite(g, "antithetic gradient estimate")

@@ -151,6 +151,15 @@ class RngStream:
         return idx[:k].copy()
 
 
+def derived_seed(seed, k):
+    """Seed of the k-th stream derived from ``seed``: raw word k of the stream
+    keyed by the SplitMix64 mix of ``seed``.  Distinct k give distinct seeds,
+    and two seeds share a derived stream only by a chance 64-bit collision."""
+    # uint64 arrays, not scalars: array arithmetic wraps without a warning
+    s_k = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF, int(k)], dtype=np.uint64)
+    return int(_mix64(_mix64(s_k[:1]) + s_k[1:] * _GOLDEN)[0])
+
+
 def _unit_interval(w):
     """Doubles on [0, 1) from the top 53 bits of each raw word."""
     return (w >> np.uint64(11)).astype(np.float64) / _TWO53

@@ -24,13 +24,13 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .estimators import (EstimatorConfig, averaged_with_indices, clamp_mu,
-                         coordinate_estimate, nes_antithetic_estimate,
-                         query_cost)
+from .estimators import (EstimatorConfig, _direction_sums,
+                         averaged_with_indices, clamp_mu, coordinate_estimate,
+                         nes_antithetic_estimate, query_cost)
 from .geometry import DiagonalMetric, Unconstrained, mahalanobis_measure
 from .metrics import RunResult, Trace, TraceRecord
-from .numkit import (RngStream, block_spans, check_finite, sample_unit_sphere,
-                     weighted_row_sum)
+from .numkit import (RngStream, check_finite, derived_seed,
+                     sample_unit_sphere, weighted_row_sum)
 
 log = logging.getLogger("zoopt")
 
@@ -248,6 +248,15 @@ def validate_config(cfg, problem, query_budget, max_iters=None,
     if cost > 0 and query_budget < cost:
         raise ConfigError(f"run.query_budget: budget {query_budget} is below one "
                           f"iteration's cost {cost}")
+    # the iteration-0 record evaluates the start point before the run loop,
+    # where a numeric abort could keep no partial trace
+    try:
+        start = problem.objective.full_loss(problem.x0)
+    except NumericError:
+        start = math.nan
+    if not math.isfinite(start):
+        raise ConfigError(f"problem {problem.tag!r}: the objective is not "
+                          "finite at the start point x0")
     return cost
 
 
@@ -268,25 +277,14 @@ def default_config(algorithm, **overrides):
 def _approx_full_gradient(problem, x, t, cfg, q=200, mu=1e-3):
     """Metric-side gradient estimate (uncounted queries) for problems without a
     recorded analytic gradient: full-batch two-point average with q directions
-    on an rng stream derived from (seed, t) so the run's stream is untouched."""
+    on a stream derived from (seed, t), so the run's stream is untouched."""
     obj = problem.objective
-    rng = RngStream(cfg.seed * 1_000_003 + 7_919 * t + 1)
+    rng = RngStream(derived_seed(cfg.seed, t))
     n = obj.n_samples or 1
     d = obj.dim
     u = sample_unit_sphere(d, rng, q)
-    samples = np.arange(n)
-    base = obj.peek_batch(np.broadcast_to(x, (n, d)), samples)
-    coeff = np.empty(q)
-    # every sample along each direction, a block_spans step of directions at
-    # a time
-    for lo, hi in block_spans(q, n * d):
-        pts = np.repeat(x + mu * u[lo:hi], n, axis=0)
-        diffs = obj.peek_batch(pts, np.tile(samples, hi - lo)).reshape(hi - lo, n)
-        c = np.zeros(hi - lo)
-        for j in range(n):
-            c += diffs[:, j] - base[j]
-        coeff[lo:hi] = c
-    return weighted_row_sum(coeff, u) * (d / mu) / (n * q)
+    sums = _direction_sums(obj.peek_batch, x, mu, np.arange(n), u)
+    return weighted_row_sum(sums, u) * (d / mu) / (n * q)
 
 
 def _reference_gradient(problem, x, t, cfg, mode):

@@ -3,13 +3,14 @@ import tempfile
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from zoopt.cli import (SCHEMA, build_optimizer_config, main, parse_config_file,
-                       run_attack_suite)
+from zoopt.cli import (DEFAULTS, SCHEMA, build_optimizer_config, main,
+                       parse_config_file, run_attack_suite)
 from zoopt.errors import ConfigError
 from zoopt.estimators import EstimatorConfig
-from zoopt.optimizers import OptConfig
+from zoopt.optimizers import METHODS, OptConfig
 
 QUAD_CFG = """
 problem.kind = quadratic
@@ -411,3 +412,101 @@ def test_every_optimizer_key_lands_on_the_resolved_config(tmp_path):
         owner = cfg.estimator if name in est_names else cfg
         assert getattr(owner, name) == value, name
     assert cfg.use_vhat_max is False and cfg.seed == 5
+
+
+# the config of a quadratic whose sampled noise overflows every value at x0
+NOT_FINITE_AT_X0 = {"problem.kind": "quadratic", "problem.d": 3,
+                    "problem.samples": 3, "problem.noise": 1e308,
+                    "run.query_budget": 100}
+
+
+def _config_text(values):
+    return "".join(f"{key} = {str(v).lower() if isinstance(v, bool) else v}\n"
+                   for key, v in values.items())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_objective_not_finite_at_the_start_point_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, _config_text(NOT_FINITE_AT_X0))
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "'quadratic'" in err and "start point" in err
+    assert not (tmp_path / "out").exists()
+
+
+# every value a whole-config example draws from: each problem kind, method
+# and choice-valued key with one unknown value, a few small sizes, and floats
+# from each class of magnitude
+CHOICES = {
+    "problem.kind": ["quadratic", "logistic", "nonconvex", "counterexample",
+                     "attack", "bogus"],
+    "problem.mode": ["constrained", "unconstrained", "bogus"],
+    "optimizer.algorithm": [*METHODS, "zo-bogus"],
+    "optimizer.alpha_schedule": ["constant", "inverse-sqrt", "bogus"],
+    "optimizer.mu_schedule": ["constant", "inverse-sqrt-Td", "inverse-dt",
+                              "bogus"],
+    "optimizer.kind": ["uniform-two-point", "coordinate", "nes-antithetic",
+                       "analytic", "bogus"],
+    "optimizer.directions": ["sphere", "gaussian", "bogus"],
+    "run.record_measure": ["auto", "approx", "off", "bogus"],
+}
+LARGEST = {"problem.d": 5, "problem.n": 8, "problem.samples": 4, "problem.m": 2,
+           "problem.image": 9, "optimizer.b": 3, "optimizer.q": 4,
+           "run.query_budget": 300, "run.max_iters": 40, "run.repeat": 2,
+           "run.stride": 4}
+FLOATS = [-1.0, 0.0, 1e-320, 0.3, 2.0, 1e308]
+
+
+def test_whole_config_writes_only_its_outputs_property(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    # run.tag and run.outdir have their own tests; sweep.* do not reach a run
+    drawn = [k for k in SCHEMA if k not in ("run.tag", "run.outdir")
+             and not k.startswith("sweep.")]
+    assert {k for k in drawn if SCHEMA[k] is str} == set(CHOICES)
+
+    def value(key):
+        typ = SCHEMA[key]
+        if typ is str:
+            return st.sampled_from(CHOICES[key])
+        if typ is bool:
+            return st.booleans()
+        if typ is float:
+            return st.sampled_from(FLOATS)
+        return st.integers(-1, LARGEST.get(key, 3))
+
+    required = ["problem.kind", "run.query_budget"]
+    optional = [k for k in drawn if k not in required]
+
+    # a few optional keys at a time, so that some configs pass every check
+    @st.composite
+    def configs(draw):
+        keys = draw(st.lists(st.sampled_from(optional), max_size=6, unique=True))
+        return {k: draw(value(k)) for k in required + keys}
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(configs())
+    @hypothesis.example(NOT_FINITE_AT_X0)
+    def check(values):
+        root = Path(tempfile.mkdtemp(dir=tmp_path))
+        out = root / "out"
+        cfg = root / "run.cfg"
+        cfg.write_text(_config_text({**values, "run.tag": "t",
+                                     "run.outdir": out}), encoding="utf-8")
+        code = main(["run", str(cfg)])
+        written = set(root.rglob("*")) - {cfg}
+        assert code in (0, 2, 3)
+        if code == 2:
+            assert not written
+            return
+        settings = {**DEFAULTS, **values}
+        seeds = range(settings["run.base_seed"],
+                      settings["run.base_seed"] + settings["run.repeat"])
+        files = {out / f"t_seed{k}.{ext}" for k in seeds for ext in ("csv", "json")}
+        assert written == files | {out}
+        # each run, an aborted one too, keeps its iteration-0 record
+        for k in seeds:
+            assert len((out / f"t_seed{k}.csv").read_text().splitlines()) >= 2
+
+    with np.errstate(all="ignore"):
+        check()

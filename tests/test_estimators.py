@@ -249,37 +249,44 @@ def _fails_at_call(k, n_samples):
     return StochasticObjective(4, fn, n_samples=n_samples)
 
 
+# each entry: the batched call, its one-at-a-time reference, its query count,
+# and the directions it has drawn from a fresh stream when it aborts at query k
 CALLS = {
     "averaged": (lambda obj, rng: averaged_with_indices(obj, X4, 0.05, [2, 0], 3, rng),
                  lambda obj, rng: _averaged_one_at_a_time(obj, X4, 0.05, [2, 0], 3, rng),
-                 8),
+                 8, lambda rng, k: sample_unit_sphere(4, rng, 3)),
     "nes": (lambda obj, rng: nes_antithetic_estimate(obj, X4, 1, 0.05, 3, rng),
-            lambda obj, rng: _nes_one_at_a_time(obj, X4, 1, 0.05, 3, rng), 6),
+            lambda obj, rng: _nes_one_at_a_time(obj, X4, 1, 0.05, 3, rng), 6,
+            lambda rng, k: rng.normal(12)),
     "two-point": (lambda obj, rng: two_point_uniform(obj, X4, 1, 0.05, rng),
                   lambda obj, rng: _two_point_one_at_a_time(obj, X4, 1, 0.05, rng),
-                  2),
+                  2, lambda rng, k: sample_unit_sphere(4, rng)),
+    # the directions of every block_spans step whose first query is at most k
     "two-point-x3": (lambda obj, rng: two_point_estimates(obj, X4, 1, 0.05, 3, rng),
                      lambda obj, rng: np.array([_two_point_one_at_a_time(
                          obj, X4, 1, 0.05, rng) for _ in range(3)]),
-                     6),
+                     6, lambda rng, k: [sample_unit_sphere(4, rng, hi - lo)
+                                        for lo, hi in numkit.block_spans(3, 8)
+                                        if 2 * lo < k]),
     "coordinate": (lambda obj, rng: coordinate_estimate(obj, X4, 1, 0.05, [3, 0, 2]),
                    lambda obj, rng: _coordinate_one_at_a_time(obj, X4, 1, 0.05, [3, 0, 2]),
-                   6),
+                   6, lambda rng, k: None),
 }
 X4 = np.array([0.3, -0.1, 0.8, 0.05])
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))
 def test_estimators_match_one_query_at_a_time(name):
-    batched, reference, cost = CALLS[name]
+    batched, reference, cost, directions = CALLS[name]
     obj_a, obj_b = _fails_at_call(0, 3), _fails_at_call(0, 3)
     rng_a, rng_b = RngStream(31), RngStream(31)
     got, want = batched(obj_a, rng_a), reference(obj_b, rng_b)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert obj_a.queries == obj_b.queries == cost
     assert rng_a._counter == rng_b._counter
-    # an abort at any query leaves the count, the error and the stream where
-    # the one-at-a-time loop leaves them
+    # an abort at any query leaves the count and the error where the
+    # one-at-a-time loop leaves them, and the stream after the directions
+    # the call drew before it queried
     for k in range(1, cost + 1):
         obj_a, obj_b = _fails_at_call(k, 3), _fails_at_call(k, 3)
         rng_a, rng_b = RngStream(31), RngStream(31)
@@ -289,7 +296,9 @@ def test_estimators_match_one_query_at_a_time(name):
             reference(obj_b, rng_b)
         assert obj_a.queries == obj_b.queries == k - 1
         assert str(err_a.value) == str(err_b.value)
-        assert rng_a._counter == rng_b._counter
+        drawn = RngStream(31)
+        directions(drawn, k)
+        assert rng_a._counter == drawn._counter
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))
@@ -322,7 +331,9 @@ def test_two_point_estimates_report_the_first_non_finite_estimate():
     assert singles  # an earlier estimate was finite
     assert str(block_err.value) == str(single_err.value)
     assert np.array_equal(block_err.value.x, single_err.value.x)
-    # the stream stops where the loop stops; the six estimates were one
-    # block_spans step, so all of its queries stay charged
-    assert block_rng._counter == rng._counter
+    # the six estimates were one block_spans step: the stream stands after
+    # its six directions, and all of its queries stay charged
+    drawn = RngStream(32)
+    sample_unit_sphere(3, drawn, 6)
+    assert block_rng._counter == drawn._counter
     assert block_obj.queries == 12

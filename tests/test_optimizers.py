@@ -6,7 +6,7 @@ import pytest
 from zoopt.errors import ConfigError
 from zoopt.geometry import Box, SymmetricBand, Unconstrained
 from zoopt import numkit
-from zoopt.numkit import RngStream, sample_unit_sphere
+from zoopt.numkit import RngStream, derived_seed, sample_unit_sphere
 from zoopt.optimizers import (METHODS, AdaMMState, _approx_full_gradient,
                               adamm_direction, default_config, run_optimizer,
                               smoothing_at, validate_config, zo_adamm_step,
@@ -396,7 +396,29 @@ def test_approx_full_gradient_matches_one_query_at_a_time(words, monkeypatch):
     cfg = default_config("zo-adamm", seed=4)
     x = prob.constraint.project(RngStream(8).normal(16) * 0.05)
     got = _approx_full_gradient(prob, x, 3, cfg, q=12, mu=1e-3)
-    want = _approx_one_at_a_time(prob.objective, x,
-                                 RngStream(4 * 1_000_003 + 7_919 * 3 + 1), 12, 1e-3)
+    want = _approx_one_at_a_time(prob.objective, x, RngStream(derived_seed(4, 3)),
+                                 12, 1e-3)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert prob.objective.queries == 0
+
+
+def test_approx_full_gradient_streams_of_distinct_seeds_and_records_differ():
+    # seed*1_000_003 + 7_919*t + 1 gave these two (seed, t) pairs one stream
+    pairs = [(0, 1_000_003), (7_919, 0)]
+    assert len({s * 1_000_003 + 7_919 * t + 1 for s, t in pairs}) == 1
+    words = [RngStream(derived_seed(s, t)).raw(4) for s, t in pairs]
+    assert not np.array_equal(*words)
+    prob = make_quadratic(4, seed=1, n_samples=2)
+    x = np.full(4, 0.2)
+    grads = [_approx_full_gradient(prob, x, t, default_config("zo-adamm", seed=s),
+                                   q=3) for s, t in pairs]
+    assert not np.array_equal(*grads)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_objective_not_finite_at_the_start_point_is_a_config_error():
+    # the sampled noise overflows every value at x0 = 0
+    prob = make_quadratic(3, n_samples=3, noise=1e308)
+    with pytest.raises(ConfigError, match="'quadratic'.*start point"):
+        run_optimizer(prob, default_config("zo-adamm"), 100)
     assert prob.objective.queries == 0

@@ -5,7 +5,10 @@ and hashes those bytes together with the final iterate, the regret terms and
 the returned random iterate.  The digests were recorded from the
 one-query-at-a-time implementation (commit 6af0673), before the estimators,
 probes and problems moved to block direction draws and batched evaluation, so
-any change to what a (config, seed) produces shows up here.
+any change to what a (config, seed) produces shows up here.  The one digest
+recorded later is ``zo-adamm/attack-approx``: its ``measure_m`` and
+``grad_norm_sq`` columns moved when the approximate reference gradient took
+its stream from ``numkit.derived_seed``.
 """
 
 import hashlib
@@ -97,7 +100,7 @@ CASES = {
 
 DIGESTS = {
     'zo-adamm/abort': '6754b15060711f06fc8e013f91c8f849cbd10f88fa99f005865e62a53c2fbd5e',
-    'zo-adamm/attack-approx': '2b3a77c2c2469dd51a8f051b47d1f10a6ebeb596541bfd70a409c40767187752',
+    'zo-adamm/attack-approx': 'e1c752251101eb1821461c7c79a0e710acce7c45a26da910b8040e95bf6463cb',
     'zo-adamm/logistic-ball': 'd92629aa1eb76444faf0675ad05f36ad99c730410a3bc397d6586bbd75721e12',
     'zo-adamm/quadratic': '02041a2934388ae05dd4a6d04071e1ac13421d1e008263fdb33752505f7bfa26',
     'zo-adamm/universal-b2': 'aee0fbe3460406ae3df691280cf42a525c48b21f7390498cf8f8b3bb9be45ee4',
