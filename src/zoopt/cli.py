@@ -174,6 +174,16 @@ def _check_point(settings):
                     settings["run.record_measure"])
 
 
+def _check_labels(key, labels):
+    """Raise ConfigError unless each label, which starts one run's output
+    file names, is one path component and no two labels are equal."""
+    for label in labels:
+        if label in ("", ".", "..") or any(c in label for c in "/\\\0"):
+            raise ConfigError(f"{key}: {label!r} is not a plain file name")
+    if len(set(labels)) < len(labels):
+        raise ConfigError(f"{key}: a repeated value gives two runs one label")
+
+
 def _plan(config_path, sweep):
     """Parse a run or sweep config into its settings, output directory (made
     once every point checks out) and one (values, settings, seed, label) job
@@ -183,10 +193,8 @@ def _plan(config_path, sweep):
         if key not in values:
             raise ConfigError(f"missing required config key: {key}")
     base = {**DEFAULTS, **values}
-    # the tag starts every output file name, so it must stay one component
     tag = base["run.tag"]
-    if tag in ("", ".", "..") or any(c in tag for c in "/\\\0"):
-        raise ConfigError(f"run.tag: {tag!r} is not a plain file name")
+    _check_labels("run.tag", [tag])
     points = [(values, tag)]
     for param_key, grid_key in ((("sweep.param", "sweep.grid"),
                                  ("sweep.param2", "sweep.grid2")) if sweep else ()):
@@ -204,6 +212,7 @@ def _plan(config_path, sweep):
         points = [({**combo, param: _coerce(param, raw)},
                    f"{label}_{param.split('.')[-1]}{raw}")
                   for combo, label in points for raw in grid]
+        _check_labels(grid_key, [label for _, label in points])
     jobs = []
     for combo, label in points:
         settings = {**DEFAULTS, **combo}
@@ -354,6 +363,8 @@ def run_attack_suite(mode, m, opts, budget, seed, outdir, formulation="auto",
         raise ConfigError("--repeat must be >= 1")
     if workers != 1:
         raise ConfigError(f"workers: jobs run serially, got {workers}")
+    if not opts or len(set(opts)) < len(opts):
+        raise ConfigError(f"--opt: name each optimizer once, got {opts}")
     targets = ([(i, slice(i, i + 1), f"img{i:02d}") for i in range(m)]
                if mode == "per-image" else [(None, slice(0, m), "universal")])
     # each method's first job is built and checked here; its other jobs

@@ -116,16 +116,21 @@ def two_point_uniform(obj, x, xi, mu, rng, directions="sphere"):
     return check_finite(g, "two-point gradient estimate")
 
 
-def _direction_sums(batch, x, mu, indices, u):
-    """sum_j [f(x + mu*u_i; xi_j) - f(x; xi_j)] for each row u_i of ``u``, over
-    the samples xi_j in ``indices``, with ``batch(points, xi)`` giving f.
+def averaged_with_indices(obj, x, mu, indices, q, rng, directions="sphere"):
+    """Core of the averaged estimator for an already-drawn minibatch.
 
-    The base values f(x; xi_j) are evaluated once, with the first step of
-    directions; each ``block_spans`` step holds every sample along each of its
-    directions.
+    Shares the q directions across the samples and reuses each base value
+    f(x; xi_j): exactly len(indices)*(q+1) queries.  The base values are
+    evaluated with the first ``block_spans`` step of directions; each step
+    holds every sample along each of its directions.
     """
-    b = len(indices)
-    q, d = u.shape
+    mu = clamp_mu(mu)
+    if not indices or q < 1:
+        raise ValueError("need a non-empty minibatch and q >= 1")
+    x = as_vector(x, obj.dim)
+    b, d = len(indices), obj.dim
+    u = _directions(q, d, rng, directions)
+    # sums[i] = sum_j [f(x + mu*u_i; xi_j) - f(x; xi_j)]
     sums = np.empty(q)
     for lo, hi in block_spans(q, b * d):
         lead = b if lo == 0 else 0
@@ -133,7 +138,7 @@ def _direction_sums(batch, x, mu, indices, u):
         pts[:lead] = x
         pts[lead:].reshape(hi - lo, b, d)[:] = (x + mu * u[lo:hi])[:, None, :]
         xi = indices[0] if b == 1 else np.tile(indices, len(pts) // b)
-        vals = batch(pts, xi)
+        vals = obj.evaluate_batch(pts, xi)
         if lo == 0:
             base = vals[:b]
         diffs = vals[lead:].reshape(hi - lo, b)
@@ -141,24 +146,9 @@ def _direction_sums(batch, x, mu, indices, u):
         for k in range(b):
             c += diffs[:, k] - base[k]
         sums[lo:hi] = c
-    return sums
-
-
-def averaged_with_indices(obj, x, mu, indices, q, rng, directions="sphere"):
-    """Core of the averaged estimator for an already-drawn minibatch.
-
-    Shares the q directions across the samples and reuses each base value
-    f(x; xi_j): exactly len(indices)*(q+1) queries.
-    """
-    mu = clamp_mu(mu)
-    if not indices or q < 1:
-        raise ValueError("need a non-empty minibatch and q >= 1")
-    x = as_vector(x, obj.dim)
-    u = _directions(q, obj.dim, rng, directions)
-    sums = _direction_sums(obj.evaluate_batch, x, mu, indices, u)
     # scaling applied per direction so the b = q = 1 case reproduces the plain
     # two-point estimate bit for bit
-    scale = _scale(obj.dim, mu, directions) / (len(indices) * q)
+    scale = _scale(d, mu, directions) / (b * q)
     g = weighted_row_sum(scale * sums, u)
     return check_finite(g, "averaged gradient estimate")
 

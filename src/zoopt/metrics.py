@@ -42,7 +42,6 @@ class RunResult:
     random_iter: int            # uniformly drawn iterate index in [1, T]
     config: dict
     seconds: float
-    measure_approx: bool = False
 
     def summary(self):
         rec = self.trace.records[-1] if self.trace.records else None
@@ -125,10 +124,7 @@ def write_envelope(result, csv_path, path):
     Deliberately excludes wall-clock timing so identical (config, seed) reruns
     produce byte-identical files; timing lives on the RunResult object.
     """
-    summary = result.summary()
-    if result.measure_approx:
-        summary["measure_approx"] = True
-    write_json({"config": result.config, "summary": summary,
+    write_json({"config": result.config, "summary": result.summary(),
                 "csv_path": str(csv_path)}, path)
 
 

@@ -24,13 +24,12 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .estimators import (EstimatorConfig, _direction_sums,
-                         averaged_with_indices, clamp_mu, coordinate_estimate,
-                         nes_antithetic_estimate, query_cost)
+from .estimators import (EstimatorConfig, averaged_with_indices, clamp_mu,
+                         coordinate_estimate, nes_antithetic_estimate,
+                         query_cost)
 from .geometry import DiagonalMetric, Unconstrained, mahalanobis_measure
 from .metrics import RunResult, Trace, TraceRecord
-from .numkit import (RngStream, check_finite, derived_seed,
-                     sample_unit_sphere, weighted_row_sum)
+from .numkit import RngStream, check_finite
 
 log = logging.getLogger("zoopt")
 
@@ -199,7 +198,7 @@ def zo_scd_step(x, sparse_estimate, alpha_t):
 def validate_config(cfg, problem, query_budget, max_iters=None,
                     record_measure="auto"):
     """Surface configuration problems before the first iteration."""
-    if record_measure not in ("auto", "approx", "off"):
+    if record_measure not in ("auto", "off"):
         raise ConfigError(f"run.record_measure: unknown mode {record_measure!r}")
     row = _row(cfg.algorithm)
     if not 0.0 <= cfg.beta1 <= 1.0 or not 0.0 <= cfg.beta2 <= 1.0:
@@ -274,29 +273,6 @@ def default_config(algorithm, **overrides):
                      **{**row.schedules, **overrides})
 
 
-def _approx_full_gradient(problem, x, t, cfg, q=200, mu=1e-3):
-    """Metric-side gradient estimate (uncounted queries) for problems without a
-    recorded analytic gradient: full-batch two-point average with q directions
-    on a stream derived from (seed, t), so the run's stream is untouched."""
-    obj = problem.objective
-    rng = RngStream(derived_seed(cfg.seed, t))
-    n = obj.n_samples or 1
-    d = obj.dim
-    u = sample_unit_sphere(d, rng, q)
-    sums = _direction_sums(obj.peek_batch, x, mu, np.arange(n), u)
-    return weighted_row_sum(sums, u) * (d / mu) / (n * q)
-
-
-def _reference_gradient(problem, x, t, cfg, mode):
-    if mode == "off":
-        return None, False
-    if problem.metadata.gradient is not None:
-        return problem.metadata.gradient(x), False
-    if mode == "approx":
-        return _approx_full_gradient(problem, x, t, cfg), True
-    return None, False
-
-
 def run_optimizer(problem, cfg, query_budget, max_iters=None, stride=None,
                   record_measure="auto", keep_iterates=False):
     """Run one optimizer on one problem until the next iteration would exceed
@@ -330,15 +306,16 @@ def run_optimizer(problem, cfg, query_budget, max_iters=None, stride=None,
     if keep_iterates:
         trace.iterates = [x.copy()]
     track_regret = problem.comparator is not None
-    measure_approx = False
+    # the measure is recorded where the problem carries its gradient
+    gradient = problem.metadata.gradient if record_measure == "auto" else None
 
     def used():
         return obj.queries - start_queries
 
     def make_record(it, alpha_t):
-        grad, approx = _reference_gradient(problem, x, it, cfg, record_measure)
         rec = TraceRecord(iter=it, queries=used(), loss=obj.full_loss(x))
-        if grad is not None:
+        if gradient is not None:
+            grad = gradient(x)
             if row.step == "adaptive" and it > 0:
                 h = np.sqrt(np.maximum(state.v_hat, 1e-300))
             else:
@@ -350,10 +327,9 @@ def run_optimizer(problem, cfg, query_budget, max_iters=None, stride=None,
             rec.distortion = problem.distortion_fn(x)
         if problem.success_count_fn is not None:
             rec.success = problem.success_count_fn(x) == problem.n_images
-        return rec, approx
+        return rec
 
-    rec, _ = make_record(0, cfg.alpha)
-    trace.records.append(rec)
+    trace.records.append(make_record(0, cfg.alpha))
 
     t = 0
     try:
@@ -408,19 +384,14 @@ def run_optimizer(problem, cfg, query_budget, max_iters=None, stride=None,
             if keep_iterates:
                 trace.iterates.append(x.copy())
             if t % stride == 0 or t == planned:
-                rec, approx = make_record(t, alpha_t)
-                measure_approx = measure_approx or approx
-                trace.records.append(rec)
+                trace.records.append(make_record(t, alpha_t))
     except NumericError as err:
         trace.aborted = str(err)
 
     if trace.records[-1].iter != t and trace.aborted is None:
-        rec, approx = make_record(t, step_size(cfg, max(t, 1)))
-        measure_approx = measure_approx or approx
-        trace.records.append(rec)
+        trace.records.append(make_record(t, step_size(cfg, max(t, 1))))
 
     trace.total_queries = used()
     random_iter = 1 + int(rng.uniform() * t) if t > 0 else 0
     return RunResult(trace=trace, final_x=x, random_iter=random_iter,
-                     config=cfg.echo(), seconds=time.perf_counter() - t0,
-                     measure_approx=measure_approx)
+                     config=cfg.echo(), seconds=time.perf_counter() - t0)

@@ -273,6 +273,31 @@ def test_sweep_label_longer_than_a_file_name_is_a_config_error(tmp_path, capsys)
     assert not (tmp_path / "sweepout").exists()
 
 
+@pytest.mark.parametrize("sweep, key, why", [
+    ("sweep.param = problem.mode\nsweep.grid = a/b, c", "sweep.grid",
+     "plain file name"),
+    ("sweep.param = problem.mode\nsweep.grid = c, a\\b", "sweep.grid",
+     "plain file name"),
+    ("sweep.param = optimizer.alpha\nsweep.grid = 0.1, 0.1", "sweep.grid",
+     "repeated value"),
+    ("sweep.param = optimizer.alpha\nsweep.grid = 0.1, 0.2\n"
+     "sweep.param2 = problem.mode\nsweep.grid2 = a, x/y", "sweep.grid2",
+     "plain file name"),
+    ("sweep.param = optimizer.alpha\nsweep.grid = 0.1, 0.2\n"
+     "sweep.param2 = run.stride\nsweep.grid2 = 3, 4, 3", "sweep.grid2",
+     "repeated value"),
+], ids=["slash", "backslash", "repeat", "slash-in-grid2", "repeat-in-grid2"])
+def test_sweep_labels_must_be_distinct_plain_file_names(tmp_path, capsys,
+                                                        sweep, key, why):
+    # each label names one run's file pair: a path separator would point
+    # outside run.outdir, and a repeated label would overwrite a run's files
+    cfg = write_cfg(tmp_path, QUAD_CFG + sweep + "\n", "sweepout")
+    assert main(["sweep", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and key in err and why in err
+    assert not (tmp_path / "sweepout").exists()
+
+
 def test_sweep_points_match_single_runs(tmp_path):
     body = QUAD_CFG.replace("run.repeat = 2", "run.repeat = 1")
     sweep = write_cfg(tmp_path, body + """
@@ -335,6 +360,7 @@ INVALID = {
     "optimizer.mu_schedule = bogus": "optimizer.mu_schedule",
     "optimizer.alpha = -1": "optimizer.alpha",
     "run.record_measure = bogus": "run.record_measure",
+    "problem.kind = attack\nrun.record_measure = approx": "run.record_measure",
     "problem.kind = logistic\noptimizer.kind = coordinate\n"
     "optimizer.v0 = 0\noptimizer.use_vhat_max = false": "optimizer.v0",
     "problem.kind = logistic\noptimizer.vhat0 = 0": "optimizer.vhat0",
@@ -375,6 +401,16 @@ def test_sweep_checks_every_point_before_writing(tmp_path, capsys, param, grid):
     assert main(["sweep", str(cfg)]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("opt", [",", " , ", "zo-adamm,zo-adamm",
+                                 "zo-adamm,zo-psgd,zo-adamm"])
+def test_attack_opt_list_must_name_distinct_optimizers(tmp_path, capsys, opt):
+    out = tmp_path / "att"
+    assert main(["attack", "--m", "1", "--opt", opt, "--budget", "22",
+                 "--out", str(out)]) == 2
+    assert "--opt: name each optimizer once" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_attack_repeat_0_exits_2(tmp_path, capsys):

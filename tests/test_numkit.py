@@ -6,7 +6,7 @@ import pytest
 
 from zoopt import numkit
 from zoopt.numkit import (BLOCK_WORDS, RngStream, _box_muller, _unit_interval,
-                          block_spans, derived_seed, sample_unit_ball,
+                          block_spans, sample_unit_ball,
                           sample_unit_sphere, weighted_row_sum)
 
 # first raw words of seed 42, frozen from a verified run: regression anchor for
@@ -168,15 +168,6 @@ class ReferenceStream:
     # the same arithmetic on top of uniform(): only the words' source differs
     integers = RngStream.integers
     choice_without_replacement = RngStream.choice_without_replacement
-
-
-def test_derived_seed_is_word_k_of_the_stream_keyed_by_the_mixed_seed():
-    for seed, k in [(0, 0), (4, 3), (-1, 10**6), (7_919, 0), (0, 1_000_003)]:
-        mixed = ReferenceStream(seed)
-        mixed.counter = -1  # word 0 is the mix of the seed alone
-        stream = ReferenceStream(int(mixed.raw(1)[0]))
-        stream.counter = k - 1
-        assert derived_seed(seed, k) == int(stream.raw(1)[0])
 
 
 def _call(stream, op, size):

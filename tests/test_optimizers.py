@@ -5,13 +5,11 @@ import pytest
 
 from zoopt.errors import ConfigError
 from zoopt.geometry import Box, SymmetricBand, Unconstrained
-from zoopt import numkit
-from zoopt.numkit import RngStream, derived_seed, sample_unit_sphere
-from zoopt.optimizers import (METHODS, AdaMMState, _approx_full_gradient,
-                              adamm_direction, default_config, run_optimizer,
-                              smoothing_at, validate_config, zo_adamm_step,
-                              zo_scd_step, zo_sgd_step, zo_signsgd_step,
-                              zo_smd_step)
+from zoopt.numkit import RngStream
+from zoopt.optimizers import (METHODS, AdaMMState, adamm_direction,
+                              default_config, run_optimizer, smoothing_at,
+                              validate_config, zo_adamm_step, zo_scd_step,
+                              zo_sgd_step, zo_signsgd_step, zo_smd_step)
 from zoopt.problems import (load_victim, make_attack_problem,
                             make_counterexample_lp, make_logistic,
                             make_quadratic)
@@ -342,22 +340,32 @@ def test_random_iterate_index_in_range():
     assert 1 <= res.random_iter <= 50
 
 
-def test_approx_measure_for_black_box_problems():
-    from zoopt.problems import load_victim, make_attack_problem
+def test_auto_measure_is_left_empty_for_black_box_problems():
     model, inputs, labels = load_victim()
-    prob = make_attack_problem(model, [inputs[0]], [labels[0]])
     cfg = default_config("zo-adamm", seed=2, b=1, q=1)
-    plain = run_optimizer(prob, cfg, 8)
-    assert all(r.measure_m is None for r in plain.trace.records)
-    assert not plain.measure_approx
+    runs = {mode: run_optimizer(make_attack_problem(model, [inputs[0]],
+                                                    [labels[0]]),
+                                cfg, 8, record_measure=mode)
+            for mode in ("auto", "off")}
+    assert all(r.measure_m is None and r.grad_norm_sq is None
+               for r in runs["auto"].trace.records)
+    assert runs["auto"].trace.records == runs["off"].trace.records
+    # 4 iterations at 2 queries each: recording adds no query
+    assert runs["auto"].trace.total_queries == 8
 
-    prob2 = make_attack_problem(model, [inputs[0]], [labels[0]])
-    approx = run_optimizer(prob2, cfg, 8, record_measure="approx")
-    assert approx.measure_approx
-    assert all(r.measure_m is not None and np.isfinite(r.measure_m)
-               for r in approx.trace.records)
-    # approx gradients never touch the query counter
-    assert approx.trace.total_queries == plain.trace.total_queries
+
+def test_off_skips_the_measure_and_changes_nothing_else():
+    cfg = default_config("zo-adamm", seed=3)
+    auto, off = (run_optimizer(make_quadratic(6, seed=1), cfg, 330,
+                               record_measure=mode) for mode in ("auto", "off"))
+    assert all(r.measure_m is not None and r.grad_norm_sq is not None
+               for r in auto.trace.records)
+    assert all(r.measure_m is None and r.grad_norm_sq is None
+               for r in off.trace.records)
+    assert ([(r.iter, r.queries, r.loss) for r in auto.trace.records]
+            == [(r.iter, r.queries, r.loss) for r in off.trace.records])
+    assert np.array_equal(auto.final_x, off.final_x)
+    assert auto.random_iter == off.random_iter
 
 
 @pytest.mark.parametrize("overrides", [
@@ -371,48 +379,6 @@ def test_non_finite_step_or_smoothing_is_a_config_error(overrides):
     with pytest.raises(ConfigError):
         run_optimizer(prob, default_config("zo-adamm", **overrides), 1000)
     assert prob.objective.queries == 0
-
-
-def _approx_one_at_a_time(obj, x, rng, q, mu):
-    n, d = obj.n_samples, obj.dim
-    base = [obj.peek(x, j) for j in range(n)]
-    g = np.zeros(d)
-    for _ in range(q):
-        u = sample_unit_sphere(d, rng)
-        coeff = 0.0
-        for j in range(n):
-            coeff += obj.peek(x + mu * u, j) - base[j]
-        g += coeff * u
-    return g * (d / mu) / (n * q)
-
-
-@pytest.mark.parametrize("words", [None, 64])
-def test_approx_full_gradient_matches_one_query_at_a_time(words, monkeypatch):
-    if words is not None:
-        # one direction of all 3 images' points per block_spans step
-        monkeypatch.setattr(numkit, "BLOCK_WORDS", words)
-    model, inputs, labels = load_victim()
-    prob = make_attack_problem(model, inputs[:3], labels[:3])
-    cfg = default_config("zo-adamm", seed=4)
-    x = prob.constraint.project(RngStream(8).normal(16) * 0.05)
-    got = _approx_full_gradient(prob, x, 3, cfg, q=12, mu=1e-3)
-    want = _approx_one_at_a_time(prob.objective, x, RngStream(derived_seed(4, 3)),
-                                 12, 1e-3)
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-    assert prob.objective.queries == 0
-
-
-def test_approx_full_gradient_streams_of_distinct_seeds_and_records_differ():
-    # seed*1_000_003 + 7_919*t + 1 gave these two (seed, t) pairs one stream
-    pairs = [(0, 1_000_003), (7_919, 0)]
-    assert len({s * 1_000_003 + 7_919 * t + 1 for s, t in pairs}) == 1
-    words = [RngStream(derived_seed(s, t)).raw(4) for s, t in pairs]
-    assert not np.array_equal(*words)
-    prob = make_quadratic(4, seed=1, n_samples=2)
-    x = np.full(4, 0.2)
-    grads = [_approx_full_gradient(prob, x, t, default_config("zo-adamm", seed=s),
-                                   q=3) for s, t in pairs]
-    assert not np.array_equal(*grads)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

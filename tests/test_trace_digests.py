@@ -5,10 +5,7 @@ and hashes those bytes together with the final iterate, the regret terms and
 the returned random iterate.  The digests were recorded from the
 one-query-at-a-time implementation (commit 6af0673), before the estimators,
 probes and problems moved to block direction draws and batched evaluation, so
-any change to what a (config, seed) produces shows up here.  The one digest
-recorded later is ``zo-adamm/attack-approx``: its ``measure_m`` and
-``grad_norm_sq`` columns moved when the approximate reference gradient took
-its stream from ``numkit.derived_seed``.
+any change to what a (config, seed) produces shows up here.
 """
 
 import hashlib
@@ -65,9 +62,6 @@ CASES = {
                                dict(seed=2), 2_200, {}),
     "zo-adamm/universal-b2": (lambda: _attack(3, "constrained"),
                               dict(seed=4, b=2, q=5, alpha=0.1), 1_200, {}),
-    "zo-adamm/attack-approx": (lambda: _attack(1, "constrained"),
-                               dict(seed=5, alpha=0.1), 330,
-                               {"record_measure": "approx"}),
     "zo-adamm/abort": (lambda: make_quadratic(4),
                        dict(alpha=1e160, alpha_schedule="constant", q=1), 100,
                        {}),
@@ -100,7 +94,6 @@ CASES = {
 
 DIGESTS = {
     'zo-adamm/abort': '6754b15060711f06fc8e013f91c8f849cbd10f88fa99f005865e62a53c2fbd5e',
-    'zo-adamm/attack-approx': 'e1c752251101eb1821461c7c79a0e710acce7c45a26da910b8040e95bf6463cb',
     'zo-adamm/logistic-ball': 'd92629aa1eb76444faf0675ad05f36ad99c730410a3bc397d6586bbd75721e12',
     'zo-adamm/quadratic': '02041a2934388ae05dd4a6d04071e1ac13421d1e008263fdb33752505f7bfa26',
     'zo-adamm/universal-b2': 'aee0fbe3460406ae3df691280cf42a525c48b21f7390498cf8f8b3bb9be45ee4',
